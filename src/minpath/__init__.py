@@ -12,6 +12,7 @@ from .graphs import (
     GraphFormatError,
     Road,
     Vertex,
+    dijkstra_classic,
     generate_random,
     max_degree,
     parse_graph,
@@ -30,7 +31,6 @@ from .paths import (
     expected_cost,
     format_path,
     implied_properties,
-    membership,
     path_value,
 )
 from .engines import (
@@ -39,7 +39,6 @@ from .engines import (
     RunStats,
     ShortestPathTree,
     UnreachableVertexError,
-    dijkstra_classic,
     eda,
     embfa,
     format_tree,
@@ -59,12 +58,13 @@ from .verify import (
 
 __all__ = [
     "Graph", "GraphFormatError", "Road", "Vertex",
-    "generate_random", "max_degree", "parse_graph", "remove_road", "serialize_graph",
+    "dijkstra_classic", "generate_random", "max_degree", "parse_graph", "remove_road",
+    "serialize_graph",
     "INF", "DetourTable", "Path", "PathFunction", "PathSystem",
     "anti_risk", "blocked_cost", "classic_distance", "expected_cost",
-    "format_path", "implied_properties", "membership", "path_value",
+    "format_path", "implied_properties", "path_value",
     "NegativeCircleError", "PropertyRefusalError", "RunStats", "ShortestPathTree",
-    "UnreachableVertexError", "dijkstra_classic", "eda", "embfa", "format_tree", "sta",
+    "UnreachableVertexError", "eda", "embfa", "format_tree", "sta",
     "OracleResult", "PropertyReport", "check_no_negative_circles", "check_property",
     "check_wisp", "compare_tree_to_oracle", "enumerate_paths", "oracle_min", "parity_length",
 ]

@@ -163,6 +163,8 @@ def _cmd_solve(args) -> int:
     func = _build_function(graph, args.function, args.p) if args.algorithm != "sta" else None
     tree, stats = _solve(graph, args.source, args.algorithm, system, func)
     sys.stdout.write(format_tree(tree, stats))
+    if not tree.exact:
+        print(f"warning: tree not certified exact ({stats.vetoed} vetoed improvements)", file=sys.stderr)
     return EXIT_OK
 
 

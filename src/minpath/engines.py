@@ -17,10 +17,10 @@ from .paths import (
     OP,
     SOPSP,
     WISP,
+    ZERO_COST,
     Path,
     PathFunction,
     PathSystem,
-    _classic_distances,
     format_path,
     implied_properties,
 )
@@ -34,7 +34,6 @@ __all__ = [
     "sta",
     "eda",
     "embfa",
-    "dijkstra_classic",
     "format_tree",
 ]
 
@@ -123,29 +122,17 @@ def _require_properties(func: PathFunction, system: PathSystem, needed: set[str]
 def sta(graph: Graph, source: int) -> ShortestPathTree:
     """Spanning arborescence rooted at ``source`` covering every vertex.
 
-    The source must reach every vertex; otherwise one unreachable vertex is
-    named in the error. Values are not populated.
+    `eda` over all paths with the zero cost: every candidate ties, so each
+    round takes the frontier road with the smallest head, then the smallest
+    tail, then the smallest key. The source must reach every vertex;
+    otherwise one unreachable vertex is named in the error. Values are not
+    populated.
     """
-    _check_source(graph, source)
-    covered = {source}
-    order = [source]
-    parent: dict[int, tuple[int, int]] = {}
-    roads = sorted(graph.roads, key=lambda r: r.key)
-    while len(covered) < graph.n:
-        best: tuple[int, int, int] | None = None
-        for road in roads:
-            if road.tail in covered and road.head not in covered:
-                candidate = (road.head, road.tail, road.key)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
-            missing = min(v for v in range(graph.n) if v not in covered)
-            raise UnreachableVertexError(f"vertex {missing} unreachable from source")
-        v, u, key = best
-        parent[v] = (u, key)
-        covered.add(v)
-        order.append(v)
-    return ShortestPathTree(graph, source, parent, {}, order, covered)
+    tree, _ = eda(graph, source, PathSystem.all_paths(source), ZERO_COST)
+    if len(tree.covered) < graph.n:
+        missing = min(v for v in range(graph.n) if v not in tree.covered)
+        raise UnreachableVertexError(f"vertex {missing} unreachable from source")
+    return ShortestPathTree(graph, source, tree.parent, {}, tree.order, tree.covered)
 
 
 def eda(
@@ -186,9 +173,8 @@ def eda(
             v = road.head
             if v in covered:
                 continue
-            if not system.admits_extension(path_u, v):
-                continue
-            candidate = func.extend(value_u, path_u, road)
+            # u's tree path holds only covered vertices, so it admits an uncovered v
+            candidate = func.apply(value_u, path_u, road)
             stats.extend_calls += 1
             label = (candidate, u, road.key)
             if v not in labels or label < labels[v]:
@@ -283,7 +269,7 @@ def embfa(
             if parent_path is None:
                 continue
             v = road.head
-            candidate = func.extend(value[road.tail], parent_path, road)
+            candidate = func.apply(value[road.tail], parent_path, road)
             stats.extend_calls += 1
             current = value.get(v, INF)
             if not system.admits_extension(parent_path, v):
@@ -320,7 +306,7 @@ def embfa(
         for v in reversed(pending):
             u, key = parent[v]
             road = graph.road(key)
-            chain_values[v] = func.extend(chain_values[u], chain_paths[u], road)
+            chain_values[v] = func.apply(chain_values[u], chain_paths[u], road)
             stats.extend_calls += 1
             chain_paths[v] = chain_paths[u].extended(key)
 
@@ -329,17 +315,6 @@ def embfa(
     exact = stats.vetoed == 0 and all(chain_values[v] == value[v] for v in covered)
     tree = ShortestPathTree(graph, source, parent, chain_values, None, covered, exact)
     return tree, stats
-
-
-def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
-    """Classic nonnegative-weight single-source distances.
-
-    The detour-distance workhorse and the reduction reference: on a
-    nonnegative network, `eda` with the classic distance function computes
-    exactly these values. ``inf`` marks unreachable vertices. Raises on any
-    negative weight.
-    """
-    return _classic_distances(graph, source)
 
 
 def _format_value(value: float | None) -> str:

@@ -8,6 +8,7 @@ to share between threads.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "remove_road",
+    "dijkstra_classic",
     "max_degree",
     "generate_random",
 ]
@@ -230,6 +232,38 @@ def remove_road(graph: Graph, key: int) -> Graph:
     if not graph.has_road(key):
         raise ValueError(f"unknown road key {key}")
     return Graph(graph.vertices, tuple(r for r in graph.roads if r.key != key))
+
+
+def dijkstra_classic(graph: Graph, source: int, deleted: int | None = None) -> tuple[float, ...]:
+    """Classic nonnegative-weight single-source distances, optionally without one road.
+
+    Heap label setting with lazy deletion, O(m log n). Skipping road
+    ``deleted`` gives the distances in `remove_road(graph, deleted)` without
+    building that copy; final distances do not depend on the order in which
+    tied vertices are settled. The detour-distance workhorse and the
+    reduction reference: on a nonnegative network, `eda` with the classic
+    distance function computes exactly these values. ``inf`` marks
+    unreachable vertices. Raises on an unknown ``deleted`` key and on any
+    negative weight among the remaining roads.
+    """
+    if deleted is not None and not graph.has_road(deleted):
+        raise ValueError(f"unknown road key {deleted}")
+    if not 0 <= source < graph.n:
+        raise ValueError(f"source {source} out of range")
+    if any(r.weight < 0 and r.key != deleted for r in graph.roads):
+        raise ValueError("negative weight present")
+    dist = [math.inf] * graph.n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry: u was settled at a smaller distance
+        for road in graph.out_roads(u):
+            if d + road.weight < dist[road.head] and road.key != deleted:
+                dist[road.head] = d + road.weight
+                heapq.heappush(heap, (dist[road.head], road.head))
+    return tuple(dist)
 
 
 def max_degree(graph: Graph) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import Graph, Road, remove_road
+from .graphs import Graph, Road, dijkstra_classic
 
 __all__ = [
     "INF",
@@ -21,7 +21,7 @@ __all__ = [
     "PathSystem",
     "PathFunction",
     "DetourTable",
-    "membership",
+    "ZERO_COST",
     "path_value",
     "format_path",
     "implied_properties",
@@ -199,11 +199,6 @@ class PathSystem:
         return self.kind != SIMPLE or head not in parent.vertex_set
 
 
-def membership(system: PathSystem, path: Path) -> bool:
-    """Whether ``path`` belongs to ``system``."""
-    return system.contains(path)
-
-
 @dataclass(frozen=True)
 class PathFunction:
     """Path cost defined by a base value plus a per-road extension rule.
@@ -219,7 +214,18 @@ class PathFunction:
     base: float
     extend: Callable[[float, Path, Road], float]
     declared_properties: frozenset[str] = field(default_factory=frozenset)
-    eval_cost_note: str = ""
+
+    def apply(self, value: float, parent: Path, road: Road) -> float:
+        """``extend``, rejecting a NaN result (``inf`` stays legal)."""
+        result = self.extend(value, parent, road)
+        if result != result:
+            raise ValueError(f"path function {self.name!r} returned NaN extending by road {road.key}")
+        return result
+
+
+# Every path costs 0: all candidates tie, so label setting falls back on its
+# tie-break alone. `sta` and `enumerate_paths` walk with it.
+ZERO_COST = PathFunction("zero", 0.0, lambda value, parent, road: 0.0, frozenset({NDSP, SOP, WISP}))
 
 
 def path_value(func: PathFunction, path: Path) -> float:
@@ -274,36 +280,6 @@ def implied_properties(declared: frozenset[str] | set[str], system: PathSystem |
     return frozenset(props)
 
 
-def _classic_distances(graph: Graph, source: int) -> tuple[float, ...]:
-    """Nonnegative-weight single-source distances by label setting.
-
-    O(n^2) scan selection, ties broken by smallest vertex id. Unreachable
-    vertices get ``inf``. Raises on any negative weight.
-    """
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range")
-    for r in graph.roads:
-        if r.weight < 0:
-            raise ValueError("negative weight present")
-    n = graph.n
-    dist = [INF] * n
-    dist[source] = 0.0
-    done = [False] * n
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not done[v] and dist[v] < INF and (best < 0 or dist[v] < dist[best]):
-                best = v
-        if best < 0:
-            break
-        done[best] = True
-        d = dist[best]
-        for road in graph.out_roads(best):
-            if not done[road.head] and d + road.weight < dist[road.head]:
-                dist[road.head] = d + road.weight
-    return tuple(dist)
-
-
 class DetourTable:
     """Cache of classic shortest distances after deleting one road.
 
@@ -321,7 +297,7 @@ class DetourTable:
     def distance(self, deleted: int, origin: int, target: int) -> float:
         row = self._rows.get((deleted, origin))
         if row is None:
-            row = _classic_distances(remove_road(self.graph, deleted), origin)
+            row = dijkstra_classic(self.graph, origin, deleted)
             self._rows[(deleted, origin)] = row
         return row[target]
 
@@ -354,7 +330,7 @@ def classic_distance(graph: Graph) -> PathFunction:
     def extend(value: float, parent: Path, road: Road) -> float:
         return value + road.weight
 
-    return PathFunction("classic", 0.0, extend, props, "one addition per extension")
+    return PathFunction("classic", 0.0, extend, props)
 
 
 def anti_risk(graph: Graph, table: DetourTable | None = None) -> PathFunction:
@@ -375,7 +351,7 @@ def anti_risk(graph: Graph, table: DetourTable | None = None) -> PathFunction:
         return max(blocked, road.weight + value)
 
     props = frozenset({NDSP, SOP, WISP})
-    return PathFunction("antirisk", 0.0, extend, props, "one cached detour query plus O(1) arithmetic")
+    return PathFunction("antirisk", 0.0, extend, props)
 
 
 def blocked_cost(graph: Graph, p: float, table: DetourTable | None = None) -> PathFunction:
@@ -394,7 +370,7 @@ def blocked_cost(graph: Graph, p: float, table: DetourTable | None = None) -> Pa
         return p * detour + road.weight + value
 
     props = frozenset({NDSP, SOP, WISP})
-    return PathFunction("blocked-cost", 0.0, extend, props, "one cached detour query plus O(1) arithmetic")
+    return PathFunction("blocked-cost", 0.0, extend, props)
 
 
 def expected_cost(graph: Graph, p: float, table: DetourTable | None = None) -> PathFunction:
@@ -413,4 +389,4 @@ def expected_cost(graph: Graph, p: float, table: DetourTable | None = None) -> P
         return p * detour + (1.0 - p) * (road.weight + value)
 
     props = frozenset({OP})
-    return PathFunction("expected-cost", 0.0, extend, props, "one cached detour query plus O(1) arithmetic")
+    return PathFunction("expected-cost", 0.0, extend, props)

@@ -33,6 +33,7 @@ from .paths import (
     SOPSP,
     WOP,
     WOPSP,
+    ZERO_COST,
     Path,
     PathFunction,
     PathSystem,
@@ -100,20 +101,7 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
     Children are visited in road-key order and the trivial path comes
     first, so the stream order is deterministic and complete for the bound.
     """
-    if max_roads < 0:
-        raise ValueError("max_roads must be nonnegative")
-    if system.source != source:
-        raise ValueError(f"path system source {system.source} does not match {source}")
-
-    def rec(path: Path) -> Iterator[Path]:
-        yield path
-        if len(path.roads) >= max_roads:
-            return
-        for road in graph.out_roads(path.terminal):
-            if system.admits_extension(path, road.head):
-                yield from rec(path.extended(road.key))
-
-    yield from rec(Path(graph, source))
+    return (path for path, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
 
 
 def _walk_values(
@@ -123,7 +111,12 @@ def _walk_values(
     func: PathFunction,
     max_roads: int,
 ) -> Iterator[tuple[Path, float]]:
-    """Like `enumerate_paths` but carrying folded values incrementally."""
+    """(member, value) pairs in `enumerate_paths` order; each value is one
+    checked extension of its parent's."""
+    if max_roads < 0:
+        raise ValueError("max_roads must be nonnegative")
+    if system.source != source:
+        raise ValueError(f"path system source {system.source} does not match {source}")
 
     def rec(path: Path, value: float) -> Iterator[tuple[Path, float]]:
         yield path, value
@@ -131,9 +124,9 @@ def _walk_values(
             return
         for road in graph.out_roads(path.terminal):
             if system.admits_extension(path, road.head):
-                yield from rec(path.extended(road.key), func.extend(value, path, road))
+                yield from rec(path.extended(road.key), func.apply(value, path, road))
 
-    yield from rec(Path(graph, source), func.base)
+    return rec(Path(graph, source), func.base)
 
 
 def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> OracleResult:
@@ -403,4 +396,4 @@ def parity_length(graph: Graph) -> PathFunction:
             total += graph.road(key).weight
         return float(math.floor(total) % 2)
 
-    return PathFunction("parity", 0.0, extend, frozenset(), "re-sums the whole path")
+    return PathFunction("parity", 0.0, extend, frozenset())

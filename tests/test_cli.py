@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
+from minpath import generate_random, serialize_graph
 from minpath.cli import main
 
 from conftest import DIAMOND_TEXT
@@ -116,6 +120,25 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == 3
         assert "negative circle" in err
+
+    def test_uncertified_embfa_tree_warns_on_stderr(self, tmp_path, capsys):
+        # the non-inherited instance of TestEmbfa::test_non_inherited_minima_are_out_of_reach
+        rng = random.Random(2002)
+        n = rng.randint(4, 8)
+        m = rng.randint(n, 3 * n)
+        path = tmp_path / "g2002.g"
+        path.write_text(serialize_graph(generate_random(n, m, 0.0, 10.0, "directed", 2002)))
+        argv = ["solve", "--graph", str(path), "--source", "0", "--algorithm", "embfa"]
+        code = main(argv + ["--function", "expected-cost", "--p", "0.7"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning" not in captured.out
+        warning = re.fullmatch(r"warning: tree not certified exact \((\d+) vetoed improvements\)\n", captured.err)
+        assert warning and int(warning.group(1)) > 0
+        code = main(argv + ["--function", "classic"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
 
 
 class TestOracle:

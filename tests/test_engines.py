@@ -43,6 +43,8 @@ from conftest import (
     random_instances,
 )
 
+from minpath.paths import NDSP, NO_NEGATIVE_CIRCLES, OP, WISP
+
 from test_paths import direct_risk
 
 
@@ -75,6 +77,34 @@ class TestSta:
     def test_bad_source(self, diamond):
         with pytest.raises(ValueError, match="source 9 out of range"):
             sta(diamond, 9)
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_matches_frontier_rescan(self, mode):
+        # Reference: each round takes the smallest (head, tail, key) over all
+        # roads from a covered tail to an uncovered head.
+        def rescan(graph, source):
+            covered, order, parent = {source}, [source], {}
+            while len(covered) < graph.n:
+                frontier = [(r.head, r.tail, r.key) for r in graph.roads if r.tail in covered and r.head not in covered]
+                if not frontier:
+                    return parent, order, min(v for v in range(graph.n) if v not in covered)
+                v, u, key = min(frontier)
+                parent[v] = (u, key)
+                covered.add(v)
+                order.append(v)
+            return parent, order, None
+
+        for seed, g in random_instances(40, (3, 20), seed_base=1700, mode=mode):
+            if seed % 2:  # a ring through every vertex makes every source reach all
+                g = Graph(g.vertices, list(g.roads) + [Road(g.m + v, v, (v + 1) % g.n, 1.0) for v in range(g.n)])
+            for source in random.Random(seed).sample(range(g.n), 3):
+                parent, order, missing = rescan(g, source)
+                if missing is None:
+                    tree = sta(g, source)
+                    assert (tree.parent, tree.order, tree.value) == (parent, order, {})
+                else:
+                    with pytest.raises(UnreachableVertexError, match=f"^vertex {missing} unreachable from source$"):
+                        sta(g, source)
 
 
 class TestEda:
@@ -293,6 +323,25 @@ class TestDijkstraClassic:
         with pytest.raises(ValueError, match="negative weight"):
             dijkstra_classic(g, 0)
 
+    @pytest.mark.parametrize("mode, weights", [
+        ("directed", (0.0, 10.0)),
+        ("undirected", (0.0, 10.0)),
+        ("directed", (0.0, 0.0)),
+        ("undirected", (0.0, 0.0)),
+    ])
+    def test_deleted_road_matches_removed_copy(self, mode, weights):
+        for _, g in random_instances(15, (3, 12), seed_base=1300, mode=mode, weights=weights):
+            # a parallel twin of every third road
+            g = Graph(g.vertices, list(g.roads) + [Road(g.m + r.key, r.tail, r.head, r.weight) for r in g.roads[::3]])
+            for source in range(3):
+                for road in g.roads:
+                    expected = dijkstra_classic(remove_road(g, road.key), source)
+                    assert dijkstra_classic(g, source, deleted=road.key) == expected
+
+    def test_unknown_deleted_key(self, diamond):
+        with pytest.raises(ValueError, match="unknown road key 99"):
+            dijkstra_classic(diamond, 0, deleted=99)
+
     def test_reduction_spot_check(self):
         for _, g in random_instances(10, (4, 9), seed_base=0):
             tree, _ = eda(g, 0, PathSystem.simple(0), classic_distance(g))
@@ -318,3 +367,17 @@ class TestFormatTree:
     def test_sta_tree_has_no_values(self):
         tree = sta(single_road(), 0)
         assert format_tree(tree) == ("0 value=- path=s=0\n1 value=- path=s=0 -> 1[k0]\n")
+
+
+def test_nan_from_extend_is_rejected():
+    g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 0 2 1.0\narc 1 2 1.0\n")
+
+    def extend(value, parent, road):
+        return float("nan") if road.key == 0 else value + road.weight
+
+    func = PathFunction("nan-on-k0", 0.0, extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+    system = PathSystem.simple(0)
+    message = "path function 'nan-on-k0' returned NaN extending by road 0"
+    for solve in (eda, embfa, oracle_min):
+        with pytest.raises(ValueError, match=message):
+            solve(g, 0, system, func)

@@ -23,7 +23,6 @@ from minpath import (
     format_path,
     generate_random,
     implied_properties,
-    membership,
     parse_graph,
     path_value,
     remove_road,
@@ -84,16 +83,16 @@ class TestPath:
 class TestMembership:
     def test_simple_paths(self, diamond):
         simple = PathSystem.simple(0)
-        assert membership(simple, Path(diamond, 0))
-        assert membership(simple, Path(diamond, 0, (0, 4)))  # s, a, b distinct
-        assert not membership(simple, Path(diamond, 0, (0, 1)))  # s -> a -> s revisits
+        assert simple.contains(Path(diamond, 0))
+        assert simple.contains(Path(diamond, 0, (0, 4)))  # s, a, b distinct
+        assert not simple.contains(Path(diamond, 0, (0, 1)))  # s -> a -> s revisits
 
     def test_all_paths(self, diamond):
         every = PathSystem.all_paths(0)
-        assert membership(every, Path(diamond, 0, (0, 1)))
+        assert every.contains(Path(diamond, 0, (0, 1)))
 
     def test_source_mismatch(self, diamond):
-        assert not membership(PathSystem.simple(1), Path(diamond, 0))
+        assert not PathSystem.simple(1).contains(Path(diamond, 0))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown path system kind"):
