@@ -7,6 +7,7 @@ road key) so identical inputs give identical trees, orders, and stats.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -149,7 +150,10 @@ def eda(
     extension belongs to the system, a pair minimizing the extended value,
     and fixes v with u as parent. Candidate values are evaluated once, when
     their tail joins the tree: a tree path never changes after that, so the
-    cached per-vertex best label equals the full frontier minimum.
+    cached per-vertex best label equals the full frontier minimum. Each
+    improved label is pushed on a heap keyed (value, vertex, tail, key);
+    entries of covered vertices are skipped when popped, so a round costs
+    O(log m) and picks the smallest value, then the smallest vertex.
 
     Requires a function declaring (or implying) SOPSP, WISP and NDSP; the
     flags are trusted, not re-proven. Vertices unreachable within the system
@@ -164,7 +168,8 @@ def eda(
     parent: dict[int, tuple[int, int]] = {}
     value: dict[int, float] = {source: func.base}
     paths: dict[int, Path] = {source: trivial}
-    labels: dict[int, tuple[float, int, int]] = {}
+    labels: dict[int, tuple[float, int, int]] = {}  # best (value, tail, key) per frontier vertex
+    frontier: list[tuple[float, int, int, int]] = []  # (value, vertex, tail, key), lazily deleted
 
     def scan(u: int) -> None:
         path_u = paths[u]
@@ -179,12 +184,14 @@ def eda(
             label = (candidate, u, road.key)
             if v not in labels or label < labels[v]:
                 labels[v] = label
+                heapq.heappush(frontier, (candidate, v, u, road.key))
                 stats.relaxations += 1
 
     scan(source)
-    while labels:
-        v = min(labels, key=lambda x: (labels[x][0], x))
-        candidate, u, key = labels.pop(v)
+    while frontier:
+        candidate, v, u, key = heapq.heappop(frontier)
+        if v in covered:
+            continue  # stale entry: v was fixed by a smaller label
         paths[v] = paths[u].extended(key)
         value[v] = candidate
         parent[v] = (u, key)

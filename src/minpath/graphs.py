@@ -240,11 +240,10 @@ def dijkstra_classic(graph: Graph, source: int, deleted: int | None = None) -> t
     Heap label setting with lazy deletion, O(m log n). Skipping road
     ``deleted`` gives the distances in `remove_road(graph, deleted)` without
     building that copy; final distances do not depend on the order in which
-    tied vertices are settled. The detour-distance workhorse and the
-    reduction reference: on a nonnegative network, `eda` with the classic
-    distance function computes exactly these values. ``inf`` marks
-    unreachable vertices. Raises on an unknown ``deleted`` key and on any
-    negative weight among the remaining roads.
+    tied vertices are settled. The reduction reference: on a nonnegative
+    network, `eda` with the classic distance function computes exactly
+    these values. ``inf`` marks unreachable vertices. Raises on an unknown
+    ``deleted`` key and on any negative weight among the remaining roads.
     """
     if deleted is not None and not graph.has_road(deleted):
         raise ValueError(f"unknown road key {deleted}")
@@ -252,6 +251,15 @@ def dijkstra_classic(graph: Graph, source: int, deleted: int | None = None) -> t
         raise ValueError(f"source {source} out of range")
     if any(r.weight < 0 and r.key != deleted for r in graph.roads):
         raise ValueError("negative weight present")
+    return tuple(_dijkstra(graph, source, deleted))
+
+
+def _dijkstra(graph: Graph, source: int, deleted: int | None, target: int | None = None) -> list[float]:
+    """The heap loop of `dijkstra_classic`, without its argument checks.
+
+    Stops as soon as ``target`` is settled: its entry is then final, and
+    the entries of vertices not yet settled are upper bounds only.
+    """
     dist = [math.inf] * graph.n
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -259,11 +267,13 @@ def dijkstra_classic(graph: Graph, source: int, deleted: int | None = None) -> t
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue  # stale entry: u was settled at a smaller distance
+        if u == target:
+            break
         for road in graph.out_roads(u):
             if d + road.weight < dist[road.head] and road.key != deleted:
                 dist[road.head] = d + road.weight
                 heapq.heappush(heap, (dist[road.head], road.head))
-    return tuple(dist)
+    return dist
 
 
 def max_degree(graph: Graph) -> int:

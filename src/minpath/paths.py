@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import Graph, Road, dijkstra_classic
+from .graphs import Graph, Road, _dijkstra, dijkstra_classic
 
 __all__ = [
     "INF",
@@ -229,10 +229,10 @@ ZERO_COST = PathFunction("zero", 0.0, lambda value, parent, road: 0.0, frozenset
 
 
 def path_value(func: PathFunction, path: Path) -> float:
-    """Fold ``func.extend`` along the path's roads starting from the base."""
+    """Fold ``func.apply`` along the path's roads starting from the base."""
     value = func.base
     for i, key in enumerate(path.roads):
-        value = func.extend(value, path.prefix(i), path.graph.road(key))
+        value = func.apply(value, path.prefix(i), path.graph.road(key))
     return value
 
 
@@ -285,21 +285,55 @@ class DetourTable:
 
     An entry ``(deleted, origin, target)`` is the distance from origin to
     target in the graph without that road, ``inf`` when the deletion
-    disconnects them. Rows fill on demand and are never invalidated (the
-    graph is immutable). Concurrent fills race benignly: every writer
-    computes identical values.
+    disconnects them; it equals ``dijkstra_classic(graph, origin,
+    deleted)[target]`` exactly.
+
+    Each origin gets one base search, `dijkstra_classic(graph, origin)`.
+    A road is tight when its tail's base distance plus its weight, the
+    same float add that Dijkstra's relaxation makes, equals its head's
+    base distance. Deleting a road that is not tight changes no distance
+    from the origin: float addition with a nonnegative weight is monotone,
+    so the base distances are the minimal left-fold sums over all paths,
+    and the base search's own parent chains attain them using tight roads
+    only. Such a query is answered from the base row. A tight road gets a
+    search of its own that skips it and stops once ``target`` is settled.
+    Every answer is cached under the whole key: every built-in function
+    asks for one target per deleted road (its head), so a caller that
+    asks for many targets of one tight road pays one search per target.
+    A graph with a negative road gets no base search (it would raise);
+    each query then runs the full checked search, which answers when the
+    deleted road is the only negative one.
+
+    Entries fill on demand and are never invalidated (the graph is
+    immutable). Concurrent fills race benignly: every writer computes
+    identical values.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._rows: dict[tuple[int, int], tuple[float, ...]] = {}
+        self._negative = any(r.weight < 0 for r in graph.roads)
+        self._base: dict[int, tuple[float, ...]] = {}
+        self._entries: dict[tuple[int, int, int], float] = {}
 
     def distance(self, deleted: int, origin: int, target: int) -> float:
-        row = self._rows.get((deleted, origin))
-        if row is None:
-            row = dijkstra_classic(self.graph, origin, deleted)
-            self._rows[(deleted, origin)] = row
-        return row[target]
+        key = (deleted, origin, target)
+        try:
+            return self._entries[key]
+        except KeyError:
+            pass
+        value = self._entries[key] = self._fill(deleted, origin, target)
+        return value
+
+    def _fill(self, deleted: int, origin: int, target: int) -> float:
+        road = self.graph.road(deleted)
+        if self._negative:
+            return dijkstra_classic(self.graph, origin, deleted)[target]
+        base = self._base.get(origin)
+        if base is None:
+            base = self._base[origin] = dijkstra_classic(self.graph, origin)
+        if base[road.tail] + road.weight != base[road.head]:
+            return base[target]
+        return _dijkstra(self.graph, origin, deleted, target)[target]
 
 
 def _require_nonnegative(graph: Graph, name: str) -> None:

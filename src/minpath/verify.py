@@ -193,7 +193,7 @@ def check_property(
                 for road in graph.out_roads(t):
                     if not system.admits_extension(path, road.head):
                         continue
-                    son_value = func.extend(value, path, road)
+                    son_value = func.apply(value, path, road)
                     if son_value < value - tol:
                         witness = (
                             f"P={format_path(path)} f={value!r}; "
@@ -210,7 +210,7 @@ def check_property(
     for t, group in sorted(groups.items()):
         for road in graph.out_roads(t):
             extended = [
-                (path, value, func.extend(value, path, road))
+                (path, value, func.apply(value, path, road))
                 for path, value in group
                 if system.admits_extension(path, road.head)
             ]
@@ -293,7 +293,7 @@ def check_no_negative_circles(
         if len(path.roads) < max_roads:
             for road in graph.out_roads(t):
                 child = path.extended(road.key)
-                found = rec(child, values + [func.extend(full, path, road)])
+                found = rec(child, values + [func.apply(full, path, road)])
                 if found is not None:
                     return found
         return None
@@ -325,7 +325,7 @@ def check_wisp(
             head = road.head
             if head in path.vertex_set:
                 continue
-            child_value = func.extend(value, path, road)
+            child_value = func.apply(value, path, road)
             if _close(child_value, oracle.minimum[head], tol):
                 witnessed.add(head)
                 rec(path.extended(road.key), child_value)

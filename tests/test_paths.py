@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minpath.paths
 from minpath import (
     INF,
     DetourTable,
+    Graph,
     Path,
     PathSystem,
+    Road,
+    Vertex,
     anti_risk,
     blocked_cost,
     check_wisp,
@@ -37,7 +42,7 @@ from minpath.paths import (
     WISP,
 )
 
-from conftest import brute_min_distance, brute_simple_paths
+from conftest import brute_min_distance, brute_simple_paths, random_instances
 
 
 def single_road():
@@ -172,6 +177,78 @@ class TestDetourTable:
                 (key, t): pool.submit(shared.distance, key, 0, t) for key, t in expected
             }
         assert {k: f.result() for k, f in futures.items()} == expected
+
+    def test_concurrent_base_and_detour_fills(self):
+        # many threads fill the same base rows and tight entries at once
+        g = generate_random(40, 160, 0.0, 10.0, "undirected", 5)
+        queries = [(r.key, origin, r.head) for origin in range(4) for r in g.roads]
+        expected = [dijkstra_classic(g, origin, key)[head] for key, origin, head in queries]
+        shared = DetourTable(g)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared.distance, *q) for q in queries]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("weights", ["uniform", "zero", "integer", "twins"])
+    def test_matches_dijkstra_without_the_road(self, mode, weights):
+        for seed, g in random_instances(12, (3, 12), seed_base=1700, mode=mode):
+            rng = random.Random(seed)
+            roads = list(g.roads)
+            if weights == "zero":
+                roads = [Road(r.key, r.tail, r.head, 0.0) for r in roads]
+            elif weights == "integer":
+                roads = [Road(r.key, r.tail, r.head, float(rng.randint(0, 2))) for r in roads]
+            elif weights == "twins":
+                roads += [Road(g.m + r.key, r.tail, r.head, r.weight) for r in roads[::3]]
+            # one more vertex that no origin reaches, with roads out of it
+            extra = g.n
+            roads += [Road(2 * g.m + i, extra, v, float(i)) for i, v in enumerate((0, g.n - 1))]
+            g = Graph(list(g.vertices) + [Vertex(extra)], roads)
+            table = DetourTable(g)
+            for origin in (0, 1, 2):
+                for road in g.roads:
+                    expected = dijkstra_classic(g, origin, road.key)
+                    for target in range(g.n):
+                        assert table.distance(road.key, origin, target) == expected[target]
+
+    def test_off_path_deletion_runs_no_search(self, diamond, monkeypatch):
+        calls = []
+        base_search, detour_search = minpath.paths.dijkstra_classic, minpath.paths._dijkstra
+
+        def counted(name, search):
+            def wrapper(*args):
+                calls.append((name, args[1:]))
+                return search(*args)
+            return wrapper
+
+        monkeypatch.setattr(minpath.paths, "dijkstra_classic", counted("base", base_search))
+        monkeypatch.setattr(minpath.paths, "_dijkstra", counted("detour", detour_search))
+        table = DetourTable(diamond)
+        base = dijkstra_classic(diamond, 0)
+        off_path = [r.key for r in diamond.roads if base[r.tail] + r.weight != base[r.head]]
+        assert off_path == [1, 3, 5, 7, 8, 9]
+        for key in off_path:
+            for target in range(diamond.n):
+                assert table.distance(key, 0, target) == base[target]
+        assert calls == [("base", (0,))]
+        # a tight road (a->t) gets one search that stops at its target
+        assert table.distance(6, 0, 3) == 4.0
+        assert table.distance(6, 0, 3) == 4.0
+        assert calls == [("base", (0,)), ("detour", (0, 6, 3))]
+
+    def test_only_negative_road_deleted(self):
+        g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 2 -1.0\narc 0 2 3.0\n")
+        table = DetourTable(g)
+        assert table.distance(1, 0, 2) == 3.0
+        assert table.distance(1, 0, 1) == 1.0
+        with pytest.raises(ValueError, match="negative weight present"):
+            table.distance(0, 0, 2)
 
 
 def direct_risk(graph, path, detour_from_source):

@@ -6,6 +6,7 @@ import pytest
 
 from minpath import (
     Path,
+    PathFunction,
     PathSystem,
     anti_risk,
     check_no_negative_circles,
@@ -22,6 +23,7 @@ from minpath import (
     parse_graph,
     path_value,
 )
+from minpath.paths import NDSP, NO_NEGATIVE_CIRCLES, OP, WISP
 from minpath.verify import NO_VIOLATION
 
 from conftest import brute_simple_paths, random_instances
@@ -259,3 +261,22 @@ class TestBoundedLengthConvergence:
                 if bound >= g.n - 1:
                     assert best == simple_min
                 previous = best
+
+
+def test_nan_from_extend_is_rejected_by_the_checkers():
+    g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 0 2 1.0\narc 1 2 1.0\n")
+
+    def extend(value, parent, road):
+        return float("nan") if road.key == 0 else value + road.weight
+
+    func = PathFunction("nan-on-k0", 0.0, extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+    system = PathSystem.simple(0)
+    message = "path function 'nan-on-k0' returned NaN extending by road 0"
+    with pytest.raises(ValueError, match=message):
+        check_no_negative_circles(g, 0, func)
+    with pytest.raises(ValueError, match=message):
+        check_property(g, 0, system, func, "NDSP")
+    with pytest.raises(ValueError, match=message):
+        check_wisp(g, 0, system, func)
+    with pytest.raises(ValueError, match=message):
+        path_value(func, Path(g, 0, (0, 2)))
