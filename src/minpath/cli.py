@@ -21,7 +21,6 @@ from .engines import (
 )
 from .graphs import max_degree, generate_random, parse_graph, serialize_graph
 from .paths import (
-    DetourTable,
     PathSystem,
     anti_risk,
     blocked_cost,
@@ -134,14 +133,13 @@ def _build_function(graph, name: str, p: float | None):
             raise ValueError(f"--p is required with --function {name}")
     elif p is not None:
         raise ValueError(f"--p is only valid with blocked-cost or expected-cost, not {name}")
-    table = DetourTable(graph)
     if name == "classic":
         return classic_distance(graph)
     if name == "antirisk":
-        return anti_risk(graph, table)
+        return anti_risk(graph)
     if name == "blocked-cost":
-        return blocked_cost(graph, p, table)
-    return expected_cost(graph, p, table)
+        return blocked_cost(graph, p)
+    return expected_cost(graph, p)
 
 
 def _system(kind: str, source: int) -> PathSystem:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph
 from .paths import (
@@ -72,35 +73,35 @@ class RunStats:
 class ShortestPathTree:
     """Arborescence rooted at the source, with per-vertex value and path.
 
-    ``parent`` maps every covered vertex except the source to its tree
-    predecessor ``(vertex, road key)``. ``value`` is empty for trees built
-    by `sta`, which is structural only. ``order`` is the discovery sequence
+    ``paths`` holds the tree path of every covered vertex, as the solver
+    built it. ``parent`` (every covered vertex except the source mapped to
+    its tree predecessor ``(vertex, road key)``) and ``covered`` are derived
+    from it once, on first access. ``value`` is empty for trees built by
+    `sta`, which is structural only. ``order`` is the discovery sequence
     for `sta`/`eda` and None for `embfa`. ``exact`` is False when `embfa`
     cannot certify that every value is the system minimum.
     """
 
     graph: Graph
     source: int
-    parent: dict[int, tuple[int, int]]
+    paths: dict[int, Path]
     value: dict[int, float]
     order: list[int] | None
-    covered: set[int]
     exact: bool = True
 
+    @cached_property
+    def parent(self) -> dict[int, tuple[int, int]]:
+        return {v: (path.vertices[-2], path.roads[-1]) for v, path in self.paths.items() if v != self.source}
+
+    @cached_property
+    def covered(self) -> set[int]:
+        return set(self.paths)
+
     def path_to(self, vertex: int) -> Path:
-        """Reconstruct the tree path to a covered vertex from parent links."""
-        if vertex not in self.covered:
+        """The tree path to a covered vertex."""
+        if vertex not in self.paths:
             raise ValueError(f"vertex {vertex} is not covered by the tree")
-        keys: list[int] = []
-        at = vertex
-        for _ in range(self.graph.n):
-            if at == self.source:
-                keys.reverse()
-                return Path(self.graph, self.source, keys)
-            u, key = self.parent[at]
-            keys.append(key)
-            at = u
-        raise RuntimeError("parent links contain a cycle")
+        return self.paths[vertex]
 
 
 def _check_source(graph: Graph, source: int, system: PathSystem | None = None) -> None:
@@ -110,13 +111,13 @@ def _check_source(graph: Graph, source: int, system: PathSystem | None = None) -
         raise ValueError(f"path system source {system.source} does not match solve source {source}")
 
 
-def _require_properties(func: PathFunction, system: PathSystem, needed: set[str], solver: str, force: bool) -> None:
+def _require_properties(func: PathFunction, system: PathSystem, needed: set[str], solver: str) -> None:
     missing = needed - implied_properties(func.declared_properties, system)
-    if missing and not force:
+    if missing:
         raise PropertyRefusalError(
             f"path function {func.name!r} does not declare or imply "
             f"{', '.join(sorted(missing))}, required by {solver} "
-            "(pass force=True to run anyway, results are then undefined)"
+            "(declare the flags in declared_properties if the function has them)"
         )
 
 
@@ -130,10 +131,10 @@ def sta(graph: Graph, source: int) -> ShortestPathTree:
     populated.
     """
     tree, _ = eda(graph, source, PathSystem.all_paths(source), ZERO_COST)
-    if len(tree.covered) < graph.n:
-        missing = min(v for v in range(graph.n) if v not in tree.covered)
+    if len(tree.paths) < graph.n:
+        missing = min(v for v in range(graph.n) if v not in tree.paths)
         raise UnreachableVertexError(f"vertex {missing} unreachable from source")
-    return ShortestPathTree(graph, source, tree.parent, {}, tree.order, tree.covered)
+    return ShortestPathTree(graph, source, tree.paths, {}, tree.order)
 
 
 def eda(
@@ -141,8 +142,6 @@ def eda(
     source: int,
     system: PathSystem,
     func: PathFunction,
-    *,
-    force: bool = False,
 ) -> tuple[ShortestPathTree, RunStats]:
     """Generalized label setting: grow the tree by the cheapest frontier pair.
 
@@ -160,14 +159,11 @@ def eda(
     are absent from the tree.
     """
     _check_source(graph, source, system)
-    _require_properties(func, system, {SOPSP, WISP, NDSP}, "eda", force)
+    _require_properties(func, system, {SOPSP, WISP, NDSP}, "eda")
     stats = RunStats()
-    trivial = Path(graph, source)
-    covered = {source}
     order = [source]
-    parent: dict[int, tuple[int, int]] = {}
     value: dict[int, float] = {source: func.base}
-    paths: dict[int, Path] = {source: trivial}
+    paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     labels: dict[int, tuple[float, int, int]] = {}  # best (value, tail, key) per frontier vertex
     frontier: list[tuple[float, int, int, int]] = []  # (value, vertex, tail, key), lazily deleted
 
@@ -176,7 +172,7 @@ def eda(
         value_u = value[u]
         for road in graph.out_roads(u):
             v = road.head
-            if v in covered:
+            if v in paths:
                 continue
             # u's tree path holds only covered vertices, so it admits an uncovered v
             candidate = func.apply(value_u, path_u, road)
@@ -190,17 +186,14 @@ def eda(
     scan(source)
     while frontier:
         candidate, v, u, key = heapq.heappop(frontier)
-        if v in covered:
+        if v in paths:
             continue  # stale entry: v was fixed by a smaller label
         paths[v] = paths[u].extended(key)
         value[v] = candidate
-        parent[v] = (u, key)
-        covered.add(v)
         order.append(v)
         stats.rounds += 1
         scan(v)
-    tree = ShortestPathTree(graph, source, parent, value, order, covered)
-    return tree, stats
+    return ShortestPathTree(graph, source, paths, value, order), stats
 
 
 def embfa(
@@ -208,8 +201,6 @@ def embfa(
     source: int,
     system: PathSystem,
     func: PathFunction,
-    *,
-    force: bool = False,
 ) -> tuple[ShortestPathTree, RunStats]:
     """Generalized relaxation over up to n rounds of full road scans.
 
@@ -252,7 +243,7 @@ def embfa(
     absence of negative circles.
     """
     _check_source(graph, source, system)
-    _require_properties(func, system, {OP, NO_NEGATIVE_CIRCLES}, "embfa", force)
+    _require_properties(func, system, {OP, NO_NEGATIVE_CIRCLES}, "embfa")
     stats = RunStats()
     n = graph.n
     paths: dict[int, Path] = {source: Path(graph, source)}
@@ -300,7 +291,6 @@ def embfa(
 
     # Fold values along the final chains. Each vertex costs one extension
     # on top of its parent's memoized value, so this stays within budget.
-    covered = set(paths)
     chain_paths: dict[int, Path] = {source: paths[source]}
     chain_values: dict[int, float] = {source: func.base}
 
@@ -317,11 +307,10 @@ def embfa(
             stats.extend_calls += 1
             chain_paths[v] = chain_paths[u].extended(key)
 
-    for v in covered:
+    for v in paths:
         resolve(v)
-    exact = stats.vetoed == 0 and all(chain_values[v] == value[v] for v in covered)
-    tree = ShortestPathTree(graph, source, parent, chain_values, None, covered, exact)
-    return tree, stats
+    exact = stats.vetoed == 0 and all(chain_values[v] == value[v] for v in paths)
+    return ShortestPathTree(graph, source, chain_paths, chain_values, None, exact), stats
 
 
 def _format_value(value: float | None) -> str:

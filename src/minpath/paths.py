@@ -127,19 +127,6 @@ class Path:
             raise ValueError(f"prefix length {length} out of range")
         return Path._make(self.graph, self.source, self.roads[:length], self.vertices[: length + 1])
 
-    def father(self) -> "Path | None":
-        """The path minus its last road; None for the trivial path."""
-        if not self.roads:
-            return None
-        return self.prefix(len(self.roads) - 1)
-
-    def is_proper_prefix_of(self, other: "Path") -> bool:
-        return (
-            self.source == other.source
-            and len(self.roads) < len(other.roads)
-            and other.roads[: len(self.roads)] == self.roads
-        )
-
     def __len__(self) -> int:
         return len(self.roads)
 

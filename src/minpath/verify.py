@@ -274,10 +274,12 @@ def check_no_negative_circles(
     name = NO_NONPOSITIVE_CIRCLES if strict else NO_NEGATIVE_CIRCLES
     scope = f"max_roads:{max_roads}"
 
-    def rec(path: Path, values: list[float]) -> PropertyReport | None:
+    values: list[float] = []  # values[i]: the value of the current path's i-road prefix
+    for path, full in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
+        del values[len(path) :]
+        values.append(full)
         t = path.terminal
-        full = values[-1]
-        for i in range(len(path.vertices) - 1):
+        for i in range(len(path)):
             if path.vertices[i] != t:
                 continue
             diff = full - values[i]
@@ -290,16 +292,7 @@ def check_no_negative_circles(
                 )
                 details = {"prefix": prefix, "full": path, "values": (values[i], full)}
                 return PropertyReport(name, VIOLATED, scope, witness, details)
-        if len(path.roads) < max_roads:
-            for road in graph.out_roads(t):
-                child = path.extended(road.key)
-                found = rec(child, values + [func.apply(full, path, road)])
-                if found is not None:
-                    return found
-        return None
-
-    found = rec(Path(graph, source), [func.base])
-    return found if found is not None else PropertyReport(name, NO_VIOLATION, scope)
+    return PropertyReport(name, NO_VIOLATION, scope)
 
 
 def check_wisp(

@@ -76,9 +76,9 @@ def brute_min_distance(graph, source, target):
 def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budget=None):
     """Structural checks every returned tree must satisfy.
 
-    Arborescence in-degrees, acyclic parent links, membership of every tree
-    path, exact fold consistency of values, and optionally the extension
-    budget.
+    Arborescence in-degrees, prefix closure (each tree path is its parent's
+    tree path plus the parent road), membership of every tree path, exact
+    fold consistency of values, and optionally the extension budget.
     """
     assert tree.source in tree.covered
     assert set(tree.parent) == tree.covered - {tree.source}
@@ -87,7 +87,7 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
         assert set(tree.order) == tree.covered
         assert len(tree.order) == len(tree.covered)
     for v in sorted(tree.covered):
-        path = tree.path_to(v)  # raises if parent links contain a cycle
+        path = tree.path_to(v)
         assert path.source == tree.source
         assert path.terminal == v
         assert set(path.vertices) <= tree.covered
@@ -95,8 +95,7 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
             assert system.contains(path)
         if v != tree.source:
             u, key = tree.parent[v]
-            assert path.roads[-1] == key
-            assert tree.graph.road(key).tail == u
+            assert tree.path_to(u).extended(key) == path
         if func is not None:
             assert path_value(func, path) == tree.value[v]
     if stats is not None and extend_budget is not None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minpath import (
     INF,
@@ -43,7 +45,7 @@ from conftest import (
     random_instances,
 )
 
-from minpath.paths import NDSP, NO_NEGATIVE_CIRCLES, OP, WISP
+from minpath.paths import NDSP, NO_NEGATIVE_CIRCLES, OP, SOPSP, WISP
 
 from test_paths import direct_risk
 
@@ -151,7 +153,8 @@ class TestEda:
         bare = PathFunction("bare", 0.0, lambda value, parent, road: value)
         with pytest.raises(PropertyRefusalError, match="bare"):
             eda(diamond, 0, PathSystem.simple(0), bare)
-        tree, _ = eda(diamond, 0, PathSystem.simple(0), bare, force=True)
+        vouched = PathFunction("bare", 0.0, bare.extend, frozenset({SOPSP, WISP, NDSP}))
+        tree, _ = eda(diamond, 0, PathSystem.simple(0), vouched)
         assert tree.covered == {0, 1, 2, 3}
 
     def test_refuses_expected_cost(self, diamond):
@@ -381,3 +384,43 @@ def test_nan_from_extend_is_rejected():
     for solve in (eda, embfa, oracle_min):
         with pytest.raises(ValueError, match=message):
             solve(g, 0, system, func)
+
+
+def _bfs_reachable(graph, source):
+    seen = {source}
+    queue = [source]
+    for u in queue:
+        for road in graph.roads:
+            if road.tail == u and road.head not in seen:
+                seen.add(road.head)
+                queue.append(road.head)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    high=st.sampled_from([10.0, 0.0]),
+    p=st.sampled_from([0.3, 0.7]),
+    seed=st.integers(0, 10_000),
+)
+def test_solvers_cover_the_reachable_set(n, data, mode, high, p, seed):
+    g = generate_random(n, data.draw(st.integers(0, 3 * n)), 0.0, high, mode, seed)
+    reachable = _bfs_reachable(g, 0)
+    system = PathSystem.simple(0)
+    funcs = [classic_distance(g), anti_risk(g), blocked_cost(g, p), expected_cost(g, p)]
+    for func in funcs:
+        assert set(oracle_min(g, 0, system, func).minimum) == reachable, func.name
+        for solve in (eda, embfa):
+            try:
+                tree, _ = solve(g, 0, system, func)
+            except PropertyRefusalError:
+                continue
+            assert tree.covered == reachable, (solve.__name__, func.name)
+    if len(reachable) < n:
+        with pytest.raises(UnreachableVertexError):
+            sta(g, 0)
+    else:
+        assert sta(g, 0).covered == reachable

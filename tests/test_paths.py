@@ -55,7 +55,6 @@ class TestPath:
         assert p.vertices == (0,)
         assert p.terminal == 0
         assert len(p) == 0
-        assert p.father() is None
         assert p.is_simple
 
     def test_chaining(self, diamond):
@@ -71,14 +70,7 @@ class TestPath:
         p = Path(diamond, 0, (0,))
         q = p.extended(6)
         assert q.roads == (0, 6)
-        assert q.father() == p
-
-    def test_prefix_order(self, diamond):
-        p = Path(diamond, 0, (0,))
-        q = Path(diamond, 0, (0, 6))
-        assert p.is_proper_prefix_of(q)
-        assert not q.is_proper_prefix_of(p)
-        assert not p.is_proper_prefix_of(p)
+        assert q.prefix(1) == p
 
     def test_format(self, diamond):
         assert format_path(Path(diamond, 0)) == "s=0"
@@ -130,7 +122,7 @@ class TestPathValue:
             if not keys:
                 continue
             p = Path(g, 0, keys)
-            parent = p.father()
+            parent = p.prefix(len(p) - 1)
             road = g.road(keys[-1])
             assert path_value(f, p) == f.extend(path_value(f, parent), parent, road)
 
@@ -335,7 +327,7 @@ class TestExpectedCost:
             if not keys:
                 continue
             p = Path(diamond, 0, keys)
-            parent = p.father()
+            parent = p.prefix(len(p) - 1)
             road = diamond.road(keys[-1])
             expected_near = road.weight + path_value(e, parent)
             assert path_value(e, p) == pytest.approx(expected_near, abs=0.1)
