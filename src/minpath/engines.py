@@ -56,8 +56,9 @@ class UnreachableVertexError(ValueError):
 class RunStats:
     """Exact, deterministic operation counts for one solver run.
 
-    ``vetoed`` counts embfa's vetoed improvements (see `embfa`); it is not
-    part of the text form.
+    ``vetoed`` counts the roads that embfa's certificate pass finds below
+    their head's value at the fixed point, each road once (see `embfa`); it
+    is not part of the text form.
     """
 
     extend_calls: int = 0
@@ -202,42 +203,46 @@ def embfa(
     system: PathSystem,
     func: PathFunction,
 ) -> tuple[ShortestPathTree, RunStats]:
-    """Generalized relaxation over up to n rounds of full road scans.
+    """Generalized relaxation in Moore's passes, with an exactness certificate.
 
-    Roads are scanned in ascending key order. A road (u, v) relaxes when u
-    holds a tree path, the extension stays inside the system, and the
-    extended value improves on v's current value; v then adopts the whole
-    extended path. A reachable vertex whose every route costs ``inf`` adopts
-    the first infinite candidate so the covered set still matches the
-    system's reachable set. Uncovered tails (the initial "no path yet"
-    state) are never extended.
+    Pass 1 scans the source. Each later pass scans, in ascending id order,
+    the tails whose value changed in the previous pass; a tail's roads are
+    scanned in `out_roads` (key) order, extending the tail's stored path and
+    value. A road (u, v) relaxes when the extension stays inside the system
+    and the extended value improves on v's current value; v then adopts the
+    whole extended path. A reachable vertex whose every route costs ``inf``
+    adopts the first infinite candidate so the covered set still matches
+    the system's reachable set. Uncovered vertices (the initial "no path
+    yet" state) are never scanned. Scans skip roads the system vetoes.
 
-    Simple-path minima need at most n-1 rounds, so any relaxation that still
-    succeeds in round n certifies a negative circle and raises. A round with
-    no successful relaxation ends the loop early; the executed count is in
-    ``stats.rounds``.
+    A road relaxed in pass k extends a stored path of at least k-1 roads,
+    and simple-path minima need at most n-1 roads, so any relaxation that
+    still succeeds in pass n certifies a negative circle and raises. A pass
+    with no relaxation ends the loop; ``stats.rounds`` is the number of
+    passes executed.
 
     The returned tree is assembled from the recorded relaxation roads: a
     link is recorded only when it keeps the link map acyclic, and the final
     values are the folds along the finished parent chains, so the output is
     always a sound arborescence.
 
-    A road whose extension would lower its head's value but leaves the
-    system (on a simple system: the head is already on the tail's stored
-    path) is a vetoed improvement. Such roads are evaluated too, still one
-    call per road per round, and counted in ``stats.vetoed``.
-    ``tree.exact`` is True only when no improvement was vetoed and every
-    folded tree value equals the relaxed value; then every value is the
-    system minimum. The last round changed nothing, so no road extends a
-    stored path below its head's value, whether or not the extension is a
-    member: the values are a fixed point of relaxation over all walks. By
-    induction on walk length, order preservation then bounds each value
-    by every walk to its vertex, and so by every member path, while the
-    stored member path attains it. This needs order preservation on walks,
-    which holds for all four built-in functions. With a vetoed improvement
-    the tree may miss a minimum that is not weakly inherited (no member
-    path to it has only minimum prefixes), so ``exact`` is False; the
-    values may still be minima.
+    A final certificate pass extends every covered vertex's stored path by
+    each of its roads once, whether or not the system admits the extension,
+    and counts each candidate below its head's value in ``stats.vetoed``
+    (on a simple system: an improvement vetoed because the head is already
+    on the tail's stored path). These calls count in ``extend_calls``.
+    ``tree.exact`` is True only when no road is counted and every folded
+    tree value equals the relaxed value; then every value is the system
+    minimum. No road extends a stored path below its head's value, whether
+    or not the extension is a member, so the values are a fixed point of
+    relaxation over all walks; the check reads only the final values and
+    paths, not the pass bookkeeping. By induction on walk length, order
+    preservation then bounds each value by every walk to its vertex, and
+    so by every member path, while the stored member path attains it. This
+    needs order preservation on walks, which holds for all four built-in
+    functions. With a vetoed improvement the tree may miss a minimum that
+    is not weakly inherited (no member path to it has only minimum
+    prefixes), so ``exact`` is False; the values may still be minima.
 
     Requires a function declaring (or implying) order preservation and
     absence of negative circles.
@@ -258,36 +263,35 @@ def embfa(
             at = parent[at][0]
         return False
 
-    roads = sorted(graph.roads, key=lambda r: r.key)
+    active = [source]
     for rnd in range(1, n + 1):
         stats.rounds = rnd
-        changed = False
-        for road in roads:
-            parent_path = paths.get(road.tail)
-            if parent_path is None:
-                continue
-            v = road.head
-            candidate = func.apply(value[road.tail], parent_path, road)
-            stats.extend_calls += 1
-            current = value.get(v, INF)
-            if not system.admits_extension(parent_path, v):
-                if candidate < current:
-                    stats.vetoed += 1
-                continue
-            if candidate < current or (v not in paths and candidate == INF):
-                if rnd == n:
-                    raise NegativeCircleError(
-                        f"relaxation still improves vertex {v} via road {road.key} in round {n}; "
-                        "the path function has a negative circle on this input"
-                    )
-                paths[v] = parent_path.extended(road.key)
-                value[v] = candidate
-                if not link_would_cycle(road.tail, v):
-                    parent[v] = (road.tail, road.key)
-                stats.relaxations += 1
-                changed = True
-        if not changed:
+        relaxed: set[int] = set()
+        for u in active:
+            path_u, value_u = paths[u], value[u]
+            for road in graph.out_roads(u):
+                v = road.head
+                if not system.admits_extension(path_u, v):
+                    continue
+                candidate = func.apply(value_u, path_u, road)
+                stats.extend_calls += 1
+                if candidate < value.get(v, INF) or (v not in paths and candidate == INF):
+                    if rnd == n:
+                        raise NegativeCircleError(
+                            f"relaxation still improves vertex {v} via road {road.key} in round {n}; "
+                            "the path function has a negative circle on this input"
+                        )
+                    paths[v] = path_u.extended(road.key)
+                    value[v] = candidate
+                    if not link_would_cycle(u, v):
+                        parent[v] = (u, road.key)
+                    stats.relaxations += 1
+                    relaxed.add(v)
+                    if v == u:  # a self-loop replaced the tail's own path
+                        path_u, value_u = paths[u], value[u]
+        if not relaxed:
             break
+        active = sorted(relaxed)
 
     # Fold values along the final chains. Each vertex costs one extension
     # on top of its parent's memoized value, so this stays within budget.
@@ -309,6 +313,16 @@ def embfa(
 
     for v in paths:
         resolve(v)
+
+    # Certificate: one extension per road out of a covered vertex, member
+    # or not. A candidate below its head's value is a vetoed improvement.
+    for u in sorted(paths):
+        path_u, value_u = paths[u], value[u]
+        for road in graph.out_roads(u):
+            candidate = func.apply(value_u, path_u, road)
+            stats.extend_calls += 1
+            if candidate < value.get(road.head, INF):
+                stats.vetoed += 1
     exact = stats.vetoed == 0 and all(chain_values[v] == value[v] for v in paths)
     return ShortestPathTree(graph, source, chain_paths, chain_values, None, exact), stats
 

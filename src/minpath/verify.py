@@ -118,15 +118,26 @@ def _walk_values(
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
 
-    def rec(path: Path, value: float) -> Iterator[tuple[Path, float]]:
-        yield path, value
-        if len(path.roads) >= max_roads:
-            return
-        for road in graph.out_roads(path.terminal):
-            if system.admits_extension(path, road.head):
-                yield from rec(path.extended(road.key), func.apply(value, path, road))
+    def walk() -> Iterator[tuple[Path, float]]:
+        root = Path(graph, source)
+        yield root, func.base
+        # one entry per path on the current branch: its value and its
+        # remaining roads, so each yield costs O(1) whatever the depth
+        stack = [(root, func.base, iter(graph.out_roads(source)))] if max_roads else []
+        while stack:
+            path, value, roads = stack[-1]
+            for road in roads:
+                if system.admits_extension(path, road.head):
+                    child = path.extended(road.key)
+                    child_value = func.apply(value, path, road)
+                    yield child, child_value
+                    if len(child.roads) < max_roads:
+                        stack.append((child, child_value, iter(graph.out_roads(road.head))))
+                    break
+            else:
+                stack.pop()
 
-    return rec(Path(graph, source), func.base)
+    return walk()
 
 
 def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> OracleResult:

@@ -264,6 +264,42 @@ class TestEmbfa:
         assert (t1.parent, t1.value) == (t2.parent, t2.value)
         assert s1 == s2
 
+    def test_reverse_keyed_chain_scans_each_road_once(self):
+        # A full scan in key order moves one hop per round down this chain;
+        # Moore's passes scan each tail once after it relaxes.
+        n = 50
+        g = Graph([Vertex(i) for i in range(n)], [Road(n - 2 - i, i, i + 1, 1.0) for i in range(n - 1)])
+        system = PathSystem.simple(0)
+        func = classic_distance(g)
+        tree, stats = embfa(g, 0, system, func)
+        assert tree.value == {v: float(v) for v in range(n)}
+        assert tree.exact is True
+        assert stats.extend_calls <= 3 * g.m
+        assert_tree_invariants(tree, system, func, stats)
+
+    def test_negative_self_loop_on_all_paths(self):
+        g = Graph(
+            [Vertex(i) for i in range(4)],
+            [Road(0, 0, 1, 1.0), Road(1, 1, 1, -1.0), Road(2, 1, 2, 1.0), Road(3, 2, 3, 1.0)],
+        )
+        func = classic_distance(g)  # declares conservative flags, wrongly
+        with pytest.raises(NegativeCircleError):
+            embfa(g, 0, PathSystem.all_paths(0), func)
+
+    @pytest.mark.parametrize("weight", [0.0, 2.0])
+    def test_nonnegative_self_loop(self, weight):
+        g = Graph(
+            [Vertex(i) for i in range(3)],
+            [Road(0, 0, 1, 1.0), Road(1, 1, 1, weight), Road(2, 1, 2, 1.0), Road(3, 2, 2, weight)],
+        )
+        func = classic_distance(g)
+        # the simple system vetoes each loop; over all paths a loop never improves
+        for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+            tree, stats = embfa(g, 0, system, func)
+            assert tree.value == {0: 0.0, 1: 1.0, 2: 2.0}
+            assert tree.exact is True
+            assert_tree_invariants(tree, system, func, stats, 2 * g.n * g.m)
+
     def test_non_inherited_minima_are_out_of_reach(self):
         # Pins a known obstruction: with a strong enough future discount,
         # expected-cost can have two vertices whose only minimum paths run
@@ -424,3 +460,27 @@ def test_solvers_cover_the_reachable_set(n, data, mode, high, p, seed):
             sta(g, 0)
     else:
         assert sta(g, 0).covered == reachable
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    high=st.sampled_from([10.0, 2.0, 0.0]),
+    twins=st.booleans(),
+    kind=st.sampled_from(["simple", "all"]),
+    seed=st.integers(0, 10_000),
+)
+def test_classic_embfa_equals_dijkstra(n, data, mode, high, twins, kind, seed):
+    g = generate_random(n, data.draw(st.integers(0, 3 * n)), 0.0, high, mode, seed)
+    if twins:  # a parallel twin of every other road, so equal candidates tie
+        g = Graph(g.vertices, list(g.roads) + [Road(g.m + r.key, r.tail, r.head, r.weight) for r in g.roads[::2]])
+    system = PathSystem.simple(0) if kind == "simple" else PathSystem.all_paths(0)
+    func = classic_distance(g)
+    tree, stats = embfa(g, 0, system, func)
+    dist = dijkstra_classic(g, 0)
+    assert tree.value == {v: d for v, d in enumerate(dist) if d < INF}
+    assert tree.exact is True
+    assert stats.vetoed == 0
+    assert_tree_invariants(tree, system, func, stats, 2 * g.n * g.m)

@@ -8,6 +8,7 @@ from minpath import (
     Path,
     PathFunction,
     PathSystem,
+    ShortestPathTree,
     anti_risk,
     check_no_negative_circles,
     check_property,
@@ -225,7 +226,9 @@ class TestCompareTreeToOracle:
         func = classic_distance(diamond)
         tree, _ = eda(diamond, 0, system, func)
         oracle = oracle_min(diamond, 0, system, func)
-        tree.covered.discard(3)
+        paths = {v: path for v, path in tree.paths.items() if v != 3}
+        value = {v: val for v, val in tree.value.items() if v != 3}
+        tree = ShortestPathTree(tree.graph, tree.source, paths, value, None)
         report = compare_tree_to_oracle(tree, oracle)
         assert report.violated
         assert "covered sets differ" in report.witness
