@@ -208,12 +208,15 @@ def embfa(
     Pass 1 scans the source. Each later pass scans, in ascending id order,
     the tails whose value changed in the previous pass; a tail's roads are
     scanned in `out_roads` (key) order, extending the tail's stored path and
-    value. A road (u, v) relaxes when the extension stays inside the system
-    and the extended value improves on v's current value; v then adopts the
-    whole extended path. A reachable vertex whose every route costs ``inf``
-    adopts the first infinite candidate so the covered set still matches
-    the system's reachable set. Uncovered vertices (the initial "no path
-    yet" state) are never scanned. Scans skip roads the system vetoes.
+    value. A tail that still holds the path it was last scanned with (it
+    relaxed in the previous pass ahead of its own scan there) is skipped:
+    every candidate would repeat, so no relaxation is lost. A road (u, v)
+    relaxes when the extension stays inside the system and the extended
+    value improves on v's current value; v then adopts the whole extended
+    path. A reachable vertex whose every route costs ``inf`` adopts the
+    first infinite candidate so the covered set still matches the system's
+    reachable set. Uncovered vertices (the initial "no path yet" state) are
+    never scanned. Scans skip roads the system vetoes.
 
     A road relaxed in pass k extends a stored path of at least k-1 roads,
     and simple-path minima need at most n-1 roads, so any relaxation that
@@ -245,7 +248,9 @@ def embfa(
     prefixes), so ``exact`` is False; the values may still be minima.
 
     Requires a function declaring (or implying) order preservation and
-    absence of negative circles.
+    absence of negative circles. The gate does not ask for weak inheritance
+    on simple systems: ``exact`` is sound without it, and an instance
+    without it is reported through ``exact`` rather than refused.
     """
     _check_source(graph, source, system)
     _require_properties(func, system, {OP, NO_NEGATIVE_CIRCLES}, "embfa")
@@ -264,11 +269,15 @@ def embfa(
         return False
 
     active = [source]
+    scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
     for rnd in range(1, n + 1):
         stats.rounds = rnd
         relaxed: set[int] = set()
         for u in active:
             path_u, value_u = paths[u], value[u]
+            if scanned.get(u) is path_u:
+                continue  # unchanged since its last scan, so every candidate would repeat
+            scanned[u] = path_u
             for road in graph.out_roads(u):
                 v = road.head
                 if not system.admits_extension(path_u, v):

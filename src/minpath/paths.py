@@ -10,6 +10,7 @@ after detour caching.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -203,8 +204,12 @@ class PathFunction:
     declared_properties: frozenset[str] = field(default_factory=frozenset)
 
     def apply(self, value: float, parent: Path, road: Road) -> float:
-        """``extend``, rejecting a NaN result (``inf`` stays legal)."""
+        """``extend``, rejecting a NaN or non-real result (``inf`` stays legal)."""
         result = self.extend(value, parent, road)
+        if type(result) is not float and not isinstance(result, numbers.Real):
+            raise ValueError(
+                f"path function {self.name!r} returned non-numeric {result!r} extending by road {road.key}"
+            )
         if result != result:
             raise ValueError(f"path function {self.name!r} returned NaN extending by road {road.key}")
         return result

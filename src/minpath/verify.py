@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .graphs import Graph, Road
 from .paths import (
@@ -140,6 +141,28 @@ def _walk_values(
     return walk()
 
 
+def _group(pairs: Iterable[tuple[Path, float]]) -> dict[int, list[tuple[Path, float]]]:
+    """The (member, value) pairs grouped by terminal, each group in walk order."""
+    groups: dict[int, list[tuple[Path, float]]] = {}
+    for pair in pairs:
+        groups.setdefault(pair[0].terminal, []).append(pair)
+    return groups
+
+
+def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> tuple:
+    """The oracle's one walk over every simple path, behind its gate: the
+    result, the walk's (member, value) pairs in pre-order, and `_group` of them."""
+    if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
+        raise ValueError(
+            f"oracle requires a function without negative circles; {func.name!r} does not declare one"
+        )
+    pairs = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1))
+    groups = _group(pairs)
+    best = {t: min(group, key=itemgetter(1)) for t, group in groups.items()}  # ties keep the first
+    minimum = {t: value for t, (_, value) in best.items()}
+    return OracleResult(source, minimum, {t: path for t, (path, _) in best.items()}, len(pairs)), pairs, groups
+
+
 def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> OracleResult:
     """Exact per-vertex minima of ``func`` by exhausting simple paths.
 
@@ -149,21 +172,7 @@ def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction
     Ties keep the first path in enumeration order. Exponential: intended
     for n up to about 10.
     """
-    if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
-        raise ValueError(
-            f"oracle requires a function without negative circles; {func.name!r} does not declare one"
-        )
-    minimum: dict[int, float] = {}
-    witness: dict[int, Path] = {}
-    count = 0
-    simple = PathSystem.simple(source)
-    for path, value in _walk_values(graph, source, simple, func, graph.n - 1):
-        count += 1
-        t = path.terminal
-        if t not in minimum or value < minimum[t]:
-            minimum[t] = value
-            witness[t] = path
-    return OracleResult(source, minimum, witness, count)
+    return _oracle(graph, source, system, func)[0]
 
 
 def check_property(
@@ -181,25 +190,27 @@ def check_property(
     sons; order-preservation clauses scan every ordered pair of same-terminal
     paths together with every common extension road whose extensions stay in
     the system. The "-SP" variants restrict the hypothesis side to minimum
-    paths (minima from `oracle_min`). The first violation in enumeration
-    order is reported.
+    paths (minima from `oracle_min`; on a simple system with a bound of at
+    least n-1 the scan is the oracle's own walk and is made once). The first
+    violation in enumeration order is reported.
     """
     if prop not in DEF1_PROPERTIES:
         raise ValueError(f"unknown property name {prop!r}")
     if max_roads is None:
         max_roads = graph.n - 1
     scope = f"max_roads:{max_roads}"
-    minima = oracle_min(graph, source, system, func).minimum if prop in _MINIMUM_HYPOTHESIS else None
-
-    groups: dict[int, list[tuple[Path, float]]] = {}
-    for path, value in _walk_values(graph, source, system, func, max_roads):
-        groups.setdefault(path.terminal, []).append((path, value))
+    hypothesis = prop in _MINIMUM_HYPOTHESIS
+    if hypothesis and system == PathSystem.simple(source) and max_roads >= graph.n - 1:
+        oracle, _, groups = _oracle(graph, source, system, func)  # this walk is the oracle's
+    else:
+        oracle = oracle_min(graph, source, system, func) if hypothesis else None
+        groups = _group(_walk_values(graph, source, system, func, max_roads))
+    minima = oracle.minimum if oracle else None
 
     if prop in (NDSP, INSP):
         for t, group in sorted(groups.items()):
-            m = minima[t]
             for path, value in group:
-                if not _close(value, m, tol):
+                if not _close(value, minima[t], tol):
                     continue
                 for road in graph.out_roads(t):
                     if not system.admits_extension(path, road.head):
@@ -238,27 +249,21 @@ def check_property(
                             f"P'={format_path(path_b)} f={value_b!r}; "
                             f"road k{road.key}: f(P+r)={ext_a!r} > f(P'+r)={ext_b!r}"
                         )
-                        details = {
-                            "path": path_a,
-                            "other": path_b,
-                            "road": road,
-                            "values": (value_a, value_b),
-                            "extended": (ext_a, ext_b),
-                        }
-                        return PropertyReport(prop, VIOLATED, scope, witness, details)
-                    if equality_clause and value_a == value_b and not _close(ext_a, ext_b, tol):
+                    elif equality_clause and value_a == value_b and not _close(ext_a, ext_b, tol):
                         witness = (
                             f"P={format_path(path_a)} = P'={format_path(path_b)} = {value_a!r}; "
                             f"road k{road.key}: f(P+r)={ext_a!r} != f(P'+r)={ext_b!r}"
                         )
-                        details = {
-                            "path": path_a,
-                            "other": path_b,
-                            "road": road,
-                            "values": (value_a, value_b),
-                            "extended": (ext_a, ext_b),
-                        }
-                        return PropertyReport(prop, VIOLATED, scope, witness, details)
+                    else:
+                        continue
+                    details = {
+                        "path": path_a,
+                        "other": path_b,
+                        "road": road,
+                        "values": (value_a, value_b),
+                        "extended": (ext_a, ext_b),
+                    }
+                    return PropertyReport(prop, VIOLATED, scope, witness, details)
     return PropertyReport(prop, NO_VIOLATION, scope)
 
 
@@ -313,34 +318,28 @@ def check_wisp(
     func: PathFunction,
     tol: float = 1e-9,
 ) -> PropertyReport:
-    """Search for a prefix-minimal witness path to every reachable vertex.
+    """Look for a prefix-minimal witness path to every reachable vertex.
 
     Weak inheritance asks that each reachable vertex admit some path whose
     every prefix is a minimum path. Minimum witnesses never need circles, so
-    the search walks simple paths only, pruning any prefix that leaves the
-    set of minimum paths. Violated exactly when some vertex has no witness.
+    one pass over the oracle's simple-path walk marks each minimum path whose
+    parent is marked (the trivial path is). Violated when a vertex has none.
     """
-    oracle = oracle_min(graph, source, system, func)
-    reachable = set(oracle.minimum)
-    witnessed = {source}
-
-    def rec(path: Path, value: float) -> None:
-        for road in graph.out_roads(path.terminal):
-            head = road.head
-            if head in path.vertex_set:
-                continue
-            child_value = func.apply(value, path, road)
-            if _close(child_value, oracle.minimum[head], tol):
-                witnessed.add(head)
-                rec(path.extended(road.key), child_value)
-
-    rec(Path(graph, source), func.base)
+    oracle, pairs, _ = _oracle(graph, source, system, func)
+    minimum = oracle.minimum
+    witnessed: set[int] = set()
+    flags: list[bool] = []  # flags[i]: the current path's i-road prefix is a witness
+    for path, value in pairs:
+        del flags[len(path) :]
+        flags.append(not flags or (flags[-1] and _close(value, minimum[path.terminal], tol)))
+        if flags[-1]:
+            witnessed.add(path.terminal)
     scope = f"max_roads:{graph.n - 1}"
-    missing = sorted(reachable - witnessed)
+    missing = sorted(set(minimum) - witnessed)
     if missing:
         v = missing[0]
-        witness = f"vertex={v} m_f={oracle.minimum[v]!r} has no prefix-minimal path"
-        details = {"vertex": v, "missing": missing, "minimum": oracle.minimum[v]}
+        witness = f"vertex={v} m_f={minimum[v]!r} has no prefix-minimal path"
+        details = {"vertex": v, "missing": missing, "minimum": minimum[v]}
         return PropertyReport("WISP", VIOLATED, scope, witness, details)
     return PropertyReport("WISP", NO_VIOLATION, scope)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -277,6 +278,17 @@ class TestEmbfa:
         assert stats.extend_calls <= 3 * g.m
         assert_tree_invariants(tree, system, func, stats)
 
+    def test_skips_a_tail_scanned_with_its_final_path(self):
+        # Pass 1 scans 0 (2 calls). Pass 2 scans 1, which relaxes 2 ahead of
+        # 2's own scan, then 2 with that path (2 calls). Pass 3 would scan 2
+        # again with the same path; only 3 is scanned (no roads). Re-fold: 3
+        # calls; certificate: 4. Rescanning 2 would make it 12.
+        g = parse_graph("g 4 4\nv 0\nv 1\nv 2\nv 3\narc 0 1 1.0\narc 0 2 5.0\narc 1 2 1.0\narc 2 3 1.0\n")
+        tree, stats = embfa(g, 0, PathSystem.simple(0), classic_distance(g))
+        assert tree.value == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+        assert tree.exact is True
+        assert (stats.extend_calls, stats.relaxations, stats.rounds) == (11, 4, 3)
+
     def test_negative_self_loop_on_all_paths(self):
         g = Graph(
             [Vertex(i) for i in range(4)],
@@ -420,6 +432,28 @@ def test_nan_from_extend_is_rejected():
     for solve in (eda, embfa, oracle_min):
         with pytest.raises(ValueError, match=message):
             solve(g, 0, system, func)
+
+
+@pytest.mark.parametrize("result", [None, "1.0", 1j])
+def test_non_numeric_extend_is_rejected(result):
+    g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 0 2 1.0\narc 1 2 1.0\n")
+
+    def extend(value, parent, road):
+        return result if road.key == 0 else value + road.weight
+
+    func = PathFunction("odd-on-k0", 0.0, extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+    system = PathSystem.simple(0)
+    message = f"path function 'odd-on-k0' returned non-numeric {result!r} extending by road 0"
+    for solve in (eda, embfa, oracle_min):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(g, 0, system, func)
+
+
+def test_integer_extend_is_accepted():
+    g = parse_graph("g 2 1\nv 0\nv 1\narc 0 1 1.0\n")
+    func = PathFunction("hops", 0.0, lambda value, parent, road: len(parent) + 1, frozenset({NDSP, OP, WISP}))
+    tree, _ = eda(g, 0, PathSystem.simple(0), func)
+    assert tree.value == {0: 0.0, 1: 1}
 
 
 def _bfs_reachable(graph, source):

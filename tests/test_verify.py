@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minpath import (
     Path,
@@ -141,6 +143,33 @@ class TestCheckProperty:
             if check_property(g, 0, system, func, unrestricted).verdict == NO_VIOLATION:
                 assert check_property(g, 0, system, func, restricted).verdict == NO_VIOLATION
 
+    def test_minima_come_from_the_oracle_not_the_bounded_walk(self):
+        # Within one road the walk reaches 1 only directly (value 5), but the
+        # simple-path minimum at 1 is 2 (via 2). So 0->1 is no minimum path,
+        # and its falling son via the -10 road is outside NDSP's hypothesis.
+        g = parse_graph("g 4 4\nv 0\nv 1\nv 2\nv 3\narc 0 1 5.0\narc 0 2 1.0\narc 2 1 1.0\narc 1 3 -10.0\n")
+        func = classic_distance(g)
+        for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+            assert check_property(g, 0, system, func, "NDSP", max_roads=1).verdict == NO_VIOLATION
+            report = check_property(g, 0, system, func, "NDSP")
+            assert report.violated
+            assert report.details["path"].roads == (1, 2)
+
+    def test_all_paths_pairs_include_circles(self):
+        # A road out of a non-simple path costs 100 less, so the circle path
+        # 0->1->0 beats the minimum path 0 on road 0->2. Only the all-paths
+        # walk holds that pair; the oracle's simple walk does not.
+        g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 0 1.0\narc 0 2 1.0\n")
+
+        def extend(value, parent, road):
+            return value + road.weight - (0.0 if parent.is_simple else 100.0)
+
+        func = PathFunction("circle-bonus", 0.0, extend, frozenset({NO_NEGATIVE_CIRCLES}))
+        assert check_property(g, 0, PathSystem.simple(0), func, "SOPSP").verdict == NO_VIOLATION
+        report = check_property(g, 0, PathSystem.all_paths(0), func, "SOPSP")
+        assert report.violated
+        assert report.details["other"].roads == (0, 1)
+
 
 class TestCheckCircles:
     def test_classic_nonnegative_clean(self, diamond):
@@ -200,6 +229,35 @@ class TestCheckWisp:
                 for i in range(1, len(keys) + 1)
             )
             assert not prefix_minimal
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 7),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    high=st.sampled_from([10.0, 2.0, 0.0]),
+    kind=st.sampled_from(["parity", "antirisk", "expected-cost"]),
+    seed=st.integers(0, 10_000),
+)
+def test_check_wisp_matches_its_definition(n, data, mode, high, kind, seed):
+    g = generate_random(n, data.draw(st.integers(n, 3 * n)), 0.0, high, mode, seed)
+    func = {"parity": parity_length, "antirisk": anti_risk, "expected-cost": lambda g: expected_cost(g, 0.7)}[kind](g)
+    system = PathSystem.simple(0)
+    minima = oracle_min(g, 0, system, func).minimum
+    # a vertex is witnessed when some simple path to it has only minimum prefixes
+    paths = brute_simple_paths(g, 0)
+    value = {keys: path_value(func, Path(g, 0, keys)) for _, keys in paths}
+    witnessed = {
+        vertices[-1]
+        for vertices, keys in paths
+        if all(
+            value[keys[:i]] == minima[vertices[i]] or abs(value[keys[:i]] - minima[vertices[i]]) <= 1e-9
+            for i in range(len(keys) + 1)
+        )
+    }
+    report = check_wisp(g, 0, system, func)
+    assert (report.details["missing"] if report.violated else []) == sorted(set(minima) - witnessed)
 
 
 class TestCompareTreeToOracle:
