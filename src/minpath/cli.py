@@ -19,7 +19,7 @@ from .engines import (
     format_tree,
     sta,
 )
-from .graphs import max_degree, generate_random, parse_graph, serialize_graph
+from .graphs import GENERATOR_MODES, max_degree, generate_random, parse_graph, serialize_graph
 from .paths import (
     PathSystem,
     anti_risk,
@@ -38,8 +38,7 @@ EXIT_VIOLATION = 2
 EXIT_NEGATIVE_CIRCLE = 3
 
 FUNCTIONS = ("classic", "antirisk", "blocked-cost", "expected-cost")
-PROPERTY_CHECKS = (
-    "ndsp", "insp", "sop", "sopsp", "op", "opsp", "wop", "wopsp",
+PROPERTY_CHECKS = tuple(name.lower() for name in verify_mod.DEF1_PROPERTIES) + (
     "wisp", "no-negative-circles", "no-non-positive-circles",
 )
 
@@ -85,6 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, default=None, help="blockage probability in (0,1)")
         p.add_argument("--system", choices=("simple", "all"), default="simple")
 
+    def add_generator_args(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--weights", type=_weights, default=(0.0, 10.0), metavar="LO:HI")
+        p.add_argument("--mode", choices=GENERATOR_MODES, default="directed")
+
     solve = sub.add_parser("solve", help="run one solver and print the tree")
     add_graph_args(solve)
     solve.add_argument("--algorithm", choices=("eda", "embfa", "sta"), default="eda")
@@ -104,17 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tolerance", type=float, default=1e-9)
 
     gen = sub.add_parser("gen", help="write a random graph file to stdout")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--weights", type=_weights, default=(0.0, 10.0), metavar="LO:HI")
-    gen.add_argument("--mode", choices=("directed", "undirected", "conservative"), default="directed")
+    add_generator_args(gen)
     gen.add_argument("--seed", type=int, default=0)
 
     bench = sub.add_parser("bench", help="time solves over a seed range and report budgets")
-    bench.add_argument("--n", type=int, required=True)
-    bench.add_argument("--m", type=int, required=True)
-    bench.add_argument("--weights", type=_weights, default=(0.0, 10.0), metavar="LO:HI")
-    bench.add_argument("--mode", choices=("directed", "undirected", "conservative"), default="directed")
+    add_generator_args(bench)
     bench.add_argument("--seed", type=_seed_range, default=range(0, 1), metavar="SEED|LO:HI")
     bench.add_argument("--source", type=int, default=0)
     bench.add_argument("--algorithm", choices=("eda", "embfa"), default="eda")
@@ -158,7 +157,7 @@ def _solve(graph, source, algorithm, system, func):
 def _cmd_solve(args) -> int:
     graph = _load_graph(args.graph)
     system = _system(args.system, args.source)
-    func = _build_function(graph, args.function, args.p) if args.algorithm != "sta" else None
+    func = _build_function(graph, args.function, args.p)
     tree, stats = _solve(graph, args.source, args.algorithm, system, func)
     sys.stdout.write(format_tree(tree, stats))
     if not tree.exact:

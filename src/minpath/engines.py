@@ -56,9 +56,9 @@ class UnreachableVertexError(ValueError):
 class RunStats:
     """Exact, deterministic operation counts for one solver run.
 
-    ``vetoed`` counts the roads that embfa's certificate pass finds below
-    their head's value at the fixed point, each road once (see `embfa`); it
-    is not part of the text form.
+    ``vetoed`` counts the roads out of embfa's returned tree whose
+    extension of the tail's tree path falls below the head's tree value,
+    each road once (see `embfa`); it is not part of the text form.
     """
 
     extend_calls: int = 0
@@ -74,16 +74,17 @@ class RunStats:
 class ShortestPathTree:
     """Arborescence rooted at the source, with per-vertex value and path.
 
-    ``paths`` holds the tree path of every covered vertex, as the solver
-    built it. ``parent`` (every covered vertex except the source mapped to
-    its tree predecessor ``(vertex, road key)``) and ``covered`` are derived
-    from it once, on first access. ``value`` is empty for trees built by
-    `sta`, which is structural only. ``order`` is the discovery sequence
-    for `sta`/`eda` and None for `embfa`. ``exact`` is False when `embfa`
-    cannot certify that every value is the system minimum.
+    ``source`` is the root; its tree path is the trivial path. ``paths``
+    holds the tree path of every covered vertex, as the solver built it;
+    each path carries its graph. ``parent`` (every covered vertex except
+    the source mapped to its tree predecessor ``(vertex, road key)``) and
+    ``covered`` are derived from it once, on first access. ``value`` is
+    empty for trees built by `sta`, which is structural only. ``order`` is
+    the discovery sequence for `sta`/`eda` and None for `embfa`. ``exact``
+    is False when `embfa` cannot certify that every value is the system
+    minimum.
     """
 
-    graph: Graph
     source: int
     paths: dict[int, Path]
     value: dict[int, float]
@@ -105,10 +106,10 @@ class ShortestPathTree:
         return self.paths[vertex]
 
 
-def _check_source(graph: Graph, source: int, system: PathSystem | None = None) -> None:
+def _check_source(graph: Graph, source: int, system: PathSystem) -> None:
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
-    if system is not None and system.source != source:
+    if system.source != source:
         raise ValueError(f"path system source {system.source} does not match solve source {source}")
 
 
@@ -135,7 +136,7 @@ def sta(graph: Graph, source: int) -> ShortestPathTree:
     if len(tree.paths) < graph.n:
         missing = min(v for v in range(graph.n) if v not in tree.paths)
         raise UnreachableVertexError(f"vertex {missing} unreachable from source")
-    return ShortestPathTree(graph, source, tree.paths, {}, tree.order)
+    return ShortestPathTree(source, tree.paths, {}, tree.order)
 
 
 def eda(
@@ -162,7 +163,6 @@ def eda(
     _check_source(graph, source, system)
     _require_properties(func, system, {SOPSP, WISP, NDSP}, "eda")
     stats = RunStats()
-    order = [source]
     value: dict[int, float] = {source: func.base}
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     labels: dict[int, tuple[float, int, int]] = {}  # best (value, tail, key) per frontier vertex
@@ -191,10 +191,9 @@ def eda(
             continue  # stale entry: v was fixed by a smaller label
         paths[v] = paths[u].extended(key)
         value[v] = candidate
-        order.append(v)
         stats.rounds += 1
         scan(v)
-    return ShortestPathTree(graph, source, paths, value, order), stats
+    return ShortestPathTree(source, paths, value, list(paths)), stats
 
 
 def embfa(
@@ -225,27 +224,24 @@ def embfa(
     passes executed.
 
     The returned tree is assembled from the recorded relaxation roads: a
-    link is recorded only when it keeps the link map acyclic, and the final
-    values are the folds along the finished parent chains, so the output is
-    always a sound arborescence.
+    link is recorded only when it keeps the link map acyclic and does not
+    enter the source. Values are then folded down the links from the
+    trivial source path, so every tree path is simple and its value is its
+    fold: the output is always a sound arborescence.
 
-    A final certificate pass extends every covered vertex's stored path by
-    each of its roads once, whether or not the system admits the extension,
-    and counts each candidate below its head's value in ``stats.vetoed``
-    (on a simple system: an improvement vetoed because the head is already
-    on the tail's stored path). These calls count in ``extend_calls``.
-    ``tree.exact`` is True only when no road is counted and every folded
-    tree value equals the relaxed value; then every value is the system
-    minimum. No road extends a stored path below its head's value, whether
-    or not the extension is a member, so the values are a fixed point of
-    relaxation over all walks; the check reads only the final values and
-    paths, not the pass bookkeeping. By induction on walk length, order
-    preservation then bounds each value by every walk to its vertex, and
-    so by every member path, while the stored member path attains it. This
-    needs order preservation on walks, which holds for all four built-in
-    functions. With a vetoed improvement the tree may miss a minimum that
-    is not weakly inherited (no member path to it has only minimum
-    prefixes), so ``exact`` is False; the values may still be minima.
+    A final certificate pass reads only that tree. It extends every tree
+    path by each road out of its vertex once, whether or not the system
+    admits the extension, and counts each candidate below its head's tree
+    value in ``stats.vetoed``; these calls count in ``extend_calls``.
+    ``tree.exact`` is True only when no road is counted. The tree values
+    are then a fixed point of relaxation over all walks, so by induction
+    on walk length order preservation bounds each value by every walk to
+    its vertex, and so by every member path, while the tree path attains
+    it: every value is the system minimum. This needs order preservation
+    on walks, which holds for all four built-in functions. With a counted
+    road the tree may miss a minimum that is not weakly inherited (no
+    member path to it has only minimum prefixes), so ``exact`` is False;
+    the values may still be minima.
 
     Requires a function declaring (or implying) order preservation and
     absence of negative circles. The gate does not ask for weak inheritance
@@ -262,11 +258,11 @@ def embfa(
 
     def link_would_cycle(tail: int, head: int) -> bool:
         at = tail
-        while at != source:
-            if at == head:
-                return True
+        while at != head:
+            if at == source:
+                return False
             at = parent[at][0]
-        return False
+        return True
 
     active = [source]
     scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
@@ -302,38 +298,31 @@ def embfa(
             break
         active = sorted(relaxed)
 
-    # Fold values along the final chains. Each vertex costs one extension
-    # on top of its parent's memoized value, so this stays within budget.
-    chain_paths: dict[int, Path] = {source: paths[source]}
+    # Fold values down the link tree from the trivial source path, one
+    # extension per covered vertex, breadth-first over the children lists.
+    children: dict[int, list[tuple[int, int]]] = {}
+    for v, (u, key) in parent.items():
+        children.setdefault(u, []).append((v, key))
+    chain_paths: dict[int, Path] = {source: Path(graph, source)}
     chain_values: dict[int, float] = {source: func.base}
-
-    def resolve(vertex: int) -> None:
-        pending = []
-        at = vertex
-        while at not in chain_paths:
-            pending.append(at)
-            at = parent[at][0]
-        for v in reversed(pending):
-            u, key = parent[v]
-            road = graph.road(key)
-            chain_values[v] = func.apply(chain_values[u], chain_paths[u], road)
+    queue = [source]
+    for u in queue:
+        for v, key in children.get(u, ()):
+            chain_values[v] = func.apply(chain_values[u], chain_paths[u], graph.road(key))
             stats.extend_calls += 1
             chain_paths[v] = chain_paths[u].extended(key)
+            queue.append(v)
 
-    for v in paths:
-        resolve(v)
-
-    # Certificate: one extension per road out of a covered vertex, member
-    # or not. A candidate below its head's value is a vetoed improvement.
-    for u in sorted(paths):
-        path_u, value_u = paths[u], value[u]
+    # Certificate: one extension per road out of a tree vertex, member or
+    # not. A candidate below its head's tree value is a vetoed improvement.
+    for u in sorted(chain_paths):
+        path_u, value_u = chain_paths[u], chain_values[u]
         for road in graph.out_roads(u):
             candidate = func.apply(value_u, path_u, road)
             stats.extend_calls += 1
-            if candidate < value.get(road.head, INF):
+            if candidate < chain_values.get(road.head, INF):
                 stats.vetoed += 1
-    exact = stats.vetoed == 0 and all(chain_values[v] == value[v] for v in paths)
-    return ShortestPathTree(graph, source, chain_paths, chain_values, None, exact), stats
+    return ShortestPathTree(source, chain_paths, chain_values, None, stats.vetoed == 0), stats
 
 
 def _format_value(value: float | None) -> str:

@@ -292,9 +292,8 @@ class DetourTable:
     Every answer is cached under the whole key: every built-in function
     asks for one target per deleted road (its head), so a caller that
     asks for many targets of one tight road pays one search per target.
-    A graph with a negative road gets no base search (it would raise);
-    each query then runs the full checked search, which answers when the
-    deleted road is the only negative one.
+    A graph with a negative road is rejected: every built-in function
+    that reads a table requires nonnegative weights.
 
     Entries fill on demand and are never invalidated (the graph is
     immutable). Concurrent fills race benignly: every writer computes
@@ -302,8 +301,8 @@ class DetourTable:
     """
 
     def __init__(self, graph: Graph):
+        _require_nonnegative(graph, "DetourTable")
         self.graph = graph
-        self._negative = any(r.weight < 0 for r in graph.roads)
         self._base: dict[int, tuple[float, ...]] = {}
         self._entries: dict[tuple[int, int, int], float] = {}
 
@@ -318,8 +317,6 @@ class DetourTable:
 
     def _fill(self, deleted: int, origin: int, target: int) -> float:
         road = self.graph.road(deleted)
-        if self._negative:
-            return dijkstra_classic(self.graph, origin, deleted)[target]
         base = self._base.get(origin)
         if base is None:
             base = self._base[origin] = dijkstra_classic(self.graph, origin)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from minpath import generate_random, serialize_graph
+from minpath import PathSystem, blocked_cost, eda, format_tree, generate_random, serialize_graph
 from minpath.cli import main
 
 from conftest import DIAMOND_TEXT
@@ -74,6 +74,27 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == 1
         assert "--p is required" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--function", "expected-cost", "--p", "7"], "error: p out of range (0, 1)"),
+            (["--p", "0.5"], "error: --p is only valid with blocked-cost or expected-cost, not classic"),
+        ],
+    )
+    def test_sta_validates_function_args(self, diamond_file, capsys, extra, message):
+        code = main(["solve", "--graph", diamond_file, "--source", "0", "--algorithm", "sta"] + extra)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_blocked_cost_matches_library(self, diamond, diamond_file, capsys):
+        code = main(["solve", "--graph", diamond_file, "--source", "0",
+                     "--function", "blocked-cost", "--p", "0.3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == format_tree(*eda(diamond, 0, PathSystem.simple(0), blocked_cost(diamond, 0.3)))
 
     def test_p_rejected_for_classic(self, diamond_file, capsys):
         code = main(["solve", "--graph", diamond_file, "--source", "0",
@@ -235,6 +256,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [("5", "expected LO:HI"), ("a:b", "expected LO:HI with numeric bounds")],
+    )
+    def test_bad_weights(self, capsys, weights, message):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--n", "4", "--m", "4", "--weights", weights])
+        assert info.value.code == 1
+        assert f"argument --weights: {message}\n" in capsys.readouterr().err
 
     def test_bad_seed_range(self, capsys):
         with pytest.raises(SystemExit) as info:

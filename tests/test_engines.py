@@ -140,6 +140,8 @@ class TestEda:
         assert tree.covered == {0}
         assert tree.value == {0: 0.0}
         assert stats.extend_calls == 0
+        with pytest.raises(ValueError, match="vertex 1 is not covered by the tree"):
+            tree.path_to(1)
 
     def test_monotone_values_along_tree_paths(self):
         for _, g in random_instances(10, (4, 8), seed_base=600):
@@ -289,6 +291,30 @@ class TestEmbfa:
         assert tree.exact is True
         assert (stats.extend_calls, stats.relaxations, stats.rounds) == (11, 4, 3)
 
+    def test_source_relaxation_keeps_the_trivial_root(self):
+        # The function lies about negative circles: the first return to the
+        # source costs -1, so relaxation lowers the source itself. The tree
+        # is still folded from the trivial source path, and the road back
+        # into the source is the one improvement the certificate counts.
+        g = Graph([Vertex(i) for i in range(3)], [Road(0, 0, 1, 1.0), Road(1, 1, 0, 1.0), Road(2, 1, 2, 1.0)])
+
+        def extend(value, parent, road):
+            if road.head == 0 and parent.vertices.count(0) == 1:
+                return -1.0
+            return len(parent.roads) + 1.0
+
+        func = PathFunction("first-return", 0.0, extend, frozenset({OP, NO_NEGATIVE_CIRCLES}))
+        system = PathSystem.all_paths(0)
+        tree, stats = embfa(g, 0, system, func)
+        assert format_tree(tree) == (
+            "0 value=0.0 path=s=0\n"
+            "1 value=1.0 path=s=0 -> 1[k0]\n"
+            "2 value=2.0 path=s=0 -> 1[k0] -> 2[k2]\n"
+        )
+        assert tree.exact is False
+        assert stats.vetoed == 1
+        assert_tree_invariants(tree, system, func, stats)
+
     def test_negative_self_loop_on_all_paths(self):
         g = Graph(
             [Vertex(i) for i in range(4)],
@@ -357,6 +383,28 @@ class TestEmbfa:
                 assert not prefix_minimal
 
 
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_embfa_certificate_reads_the_returned_tree(mode):
+    # Undirected seed 3034 with expected-cost 0.7 counts 27 roads below the
+    # tree's values but 15 below the relaxation's values, so a certificate
+    # that read the relaxation state would fail here.
+    for seed, g in random_instances(40, (3, 12), seed_base=3000, mode=mode):
+        funcs = [classic_distance(g), anti_risk(g), expected_cost(g, 0.3), expected_cost(g, 0.7)]
+        for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+            for func in funcs:
+                try:
+                    tree, stats = embfa(g, 0, system, func)
+                except PropertyRefusalError:
+                    continue
+                count = sum(
+                    func.extend(tree.value[u], tree.path_to(u), road) < tree.value.get(road.head, INF)
+                    for u in tree.covered
+                    for road in g.out_roads(u)
+                )
+                assert stats.vetoed == count, (seed, system.kind, func.name)
+                assert tree.exact == (count == 0)
+
+
 class TestDijkstraClassic:
     def test_diamond(self, diamond):
         assert dijkstra_classic(diamond, 0) == (0.0, 1.0, 2.0, 2.0)
@@ -388,6 +436,11 @@ class TestDijkstraClassic:
                 for road in g.roads:
                     expected = dijkstra_classic(remove_road(g, road.key), source)
                     assert dijkstra_classic(g, source, deleted=road.key) == expected
+
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_source_out_of_range(self, diamond, source):
+        with pytest.raises(ValueError, match=f"source {source} out of range"):
+            dijkstra_classic(diamond, source)
 
     def test_unknown_deleted_key(self, diamond):
         with pytest.raises(ValueError, match="unknown road key 99"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,10 @@ class TestParse:
             ("g 3 1\nv 0\nv 1\narc 0 1 1.0\n", "expected 3 vertex lines"),
             ("g 1 0\nv 0\n", "at least 2"),
             ("", "missing"),
+            ("g x 1\nv 0\nv 1\narc 0 1 1.0\n", "vertex count 'x' is not an integer, line 1"),
+            ("g 2 1\nv 0\nv a\narc 0 1 1.0\n", "vertex id 'a' is not an integer, line 3"),
+            ("g 2 -1\nv 0\nv 1\n", "road line count must be nonnegative, line 1"),
+            ("g 2 1\nv 0 s t\nv 1\narc 0 1 1.0\n", r"expected 'v <id> \[label\]', line 2"),
         ],
     )
     def test_rejects(self, text, message):
@@ -223,6 +229,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_random(seed=0, **kwargs)
 
+    @pytest.mark.parametrize("low, high", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_rejects_non_finite_bounds(self, low, high):
+        with pytest.raises(ValueError, match="weight bounds must be finite"):
+            generate_random(3, 2, low, high)
+
 
 class TestGraphConstruction:
     def test_duplicate_key(self):
@@ -232,6 +243,11 @@ class TestGraphConstruction:
     def test_non_dense_vertices(self):
         with pytest.raises(ValueError, match="dense"):
             Graph([Vertex(0), Vertex(2)], [])
+
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="road 0 has non-finite weight"):
+            Graph([Vertex(0), Vertex(1)], [Road(0, 0, 1, weight)])
 
     def test_bad_endpoint(self):
         with pytest.raises(ValueError, match="endpoint out of range"):

@@ -66,6 +66,20 @@ class TestPath:
         with pytest.raises(ValueError, match="road chain broken"):
             Path(diamond, 0, (2, 6))  # s -> b then a -> t does not chain
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda g: Path(g, 4), "source 4 out of range"),
+            (lambda g: Path(g, -1), "source -1 out of range"),
+            (lambda g: Path(g, 0, (0,)).extended(8), "road chain broken: road 8 starts at 2, expected 1"),
+            (lambda g: Path(g, 0, (0,)).prefix(2), "prefix length 2 out of range"),
+            (lambda g: Path(g, 0, (0,)).prefix(-1), "prefix length -1 out of range"),
+        ],
+    )
+    def test_rejects(self, diamond, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(diamond)
+
     def test_extended_and_father_inverse(self, diamond):
         p = Path(diamond, 0, (0,))
         q = p.extended(6)
@@ -234,13 +248,10 @@ class TestDetourTable:
         assert table.distance(6, 0, 3) == 4.0
         assert calls == [("base", (0,)), ("detour", (0, 6, 3))]
 
-    def test_only_negative_road_deleted(self):
+    def test_rejects_negative_road(self):
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 2 -1.0\narc 0 2 3.0\n")
-        table = DetourTable(g)
-        assert table.distance(1, 0, 2) == 3.0
-        assert table.distance(1, 0, 1) == 1.0
-        with pytest.raises(ValueError, match="negative weight present"):
-            table.distance(0, 0, 2)
+        with pytest.raises(ValueError, match="DetourTable requires nonnegative weights"):
+            DetourTable(g)
 
 
 def direct_risk(graph, path, detour_from_source):
