@@ -148,7 +148,7 @@ def _system(kind: str, source: int) -> PathSystem:
 def _solve(graph, source, algorithm, system, func):
     if algorithm == "sta":
         tree = sta(graph, source)
-        return tree, RunStats(0, 0, max(len(tree.order) - 1, 0))
+        return tree, RunStats(rounds=len(tree.paths) - 1)
     if algorithm == "eda":
         return eda(graph, source, system, func)
     return embfa(graph, source, system, func)

@@ -76,19 +76,19 @@ class ShortestPathTree:
 
     ``source`` is the root; its tree path is the trivial path. ``paths``
     holds the tree path of every covered vertex, as the solver built it;
-    each path carries its graph. ``parent`` (every covered vertex except
-    the source mapped to its tree predecessor ``(vertex, road key)``) and
-    ``covered`` are derived from it once, on first access. ``value`` is
-    empty for trees built by `sta`, which is structural only. ``order`` is
-    the discovery sequence for `sta`/`eda` and None for `embfa`. ``exact``
-    is False when `embfa` cannot certify that every value is the system
-    minimum.
+    each path carries its graph. Three views of ``paths`` are derived once,
+    on first access: ``parent`` maps every covered vertex except the source
+    to its tree predecessor ``(vertex, road key)``, ``covered`` is the set
+    of covered vertices, and ``order`` lists them as the solver added them
+    (discovery order for `sta`/`eda`, breadth-first from the source for
+    `embfa`). ``value`` is empty for trees built by `sta`, which is
+    structural only. ``exact`` is False when `embfa` cannot certify that
+    every value is the system minimum.
     """
 
     source: int
     paths: dict[int, Path]
     value: dict[int, float]
-    order: list[int] | None
     exact: bool = True
 
     @cached_property
@@ -98,6 +98,10 @@ class ShortestPathTree:
     @cached_property
     def covered(self) -> set[int]:
         return set(self.paths)
+
+    @cached_property
+    def order(self) -> list[int]:
+        return list(self.paths)
 
     def path_to(self, vertex: int) -> Path:
         """The tree path to a covered vertex."""
@@ -136,7 +140,7 @@ def sta(graph: Graph, source: int) -> ShortestPathTree:
     if len(tree.paths) < graph.n:
         missing = min(v for v in range(graph.n) if v not in tree.paths)
         raise UnreachableVertexError(f"vertex {missing} unreachable from source")
-    return ShortestPathTree(source, tree.paths, {}, tree.order)
+    return ShortestPathTree(source, tree.paths, {})
 
 
 def eda(
@@ -193,7 +197,7 @@ def eda(
         value[v] = candidate
         stats.rounds += 1
         scan(v)
-    return ShortestPathTree(source, paths, value, list(paths)), stats
+    return ShortestPathTree(source, paths, value), stats
 
 
 def embfa(
@@ -322,14 +326,10 @@ def embfa(
             stats.extend_calls += 1
             if candidate < chain_values.get(road.head, INF):
                 stats.vetoed += 1
-    return ShortestPathTree(source, chain_paths, chain_values, None, stats.vetoed == 0), stats
+    return ShortestPathTree(source, chain_paths, chain_values, stats.vetoed == 0), stats
 
 
-def _format_value(value: float | None) -> str:
-    return "-" if value is None else repr(value)
-
-
-def format_tree(tree: ShortestPathTree, stats: RunStats | None = None) -> str:
+def format_tree(tree: ShortestPathTree, stats: RunStats) -> str:
     """Text form: one line per covered vertex in id order, plus a stats line.
 
     ``<v> value=<f-value or inf> path=<serialized path>``; trees without
@@ -337,8 +337,7 @@ def format_tree(tree: ShortestPathTree, stats: RunStats | None = None) -> str:
     """
     lines = []
     for v in sorted(tree.covered):
-        val = tree.value.get(v) if tree.value else None
-        lines.append(f"{v} value={_format_value(val)} path={format_path(tree.path_to(v))}")
-    if stats is not None:
-        lines.append(stats.format())
+        val = repr(tree.value[v]) if v in tree.value else "-"
+        lines.append(f"{v} value={val} path={format_path(tree.path_to(v))}")
+    lines.append(stats.format())
     return "\n".join(lines) + "\n"

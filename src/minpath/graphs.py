@@ -234,31 +234,29 @@ def remove_road(graph: Graph, key: int) -> Graph:
     return Graph(graph.vertices, tuple(r for r in graph.roads if r.key != key))
 
 
-def dijkstra_classic(graph: Graph, source: int, deleted: int | None = None) -> tuple[float, ...]:
-    """Classic nonnegative-weight single-source distances, optionally without one road.
+def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
+    """Classic nonnegative-weight single-source distances.
 
-    Heap label setting with lazy deletion, O(m log n). Skipping road
-    ``deleted`` gives the distances in `remove_road(graph, deleted)` without
-    building that copy; final distances do not depend on the order in which
-    tied vertices are settled. The reduction reference: on a nonnegative
-    network, `eda` with the classic distance function computes exactly
-    these values. ``inf`` marks unreachable vertices. Raises on an unknown
-    ``deleted`` key and on any negative weight among the remaining roads.
+    Heap label setting with lazy deletion, O(m log n); final distances do
+    not depend on the order in which tied vertices are settled. The
+    reduction reference: on a nonnegative network, `eda` with the classic
+    distance function computes exactly these values. ``inf`` marks
+    unreachable vertices. Raises on any negative weight. For distances
+    without one road, search `remove_road(graph, key)`.
     """
-    if deleted is not None and not graph.has_road(deleted):
-        raise ValueError(f"unknown road key {deleted}")
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
-    if any(r.weight < 0 and r.key != deleted for r in graph.roads):
+    if any(r.weight < 0 for r in graph.roads):
         raise ValueError("negative weight present")
-    return tuple(_dijkstra(graph, source, deleted))
+    return tuple(_dijkstra(graph, source, None))
 
 
 def _dijkstra(graph: Graph, source: int, deleted: int | None, target: int | None = None) -> list[float]:
     """The heap loop of `dijkstra_classic`, without its argument checks.
 
-    Stops as soon as ``target`` is settled: its entry is then final, and
-    the entries of vertices not yet settled are upper bounds only.
+    Skips road ``deleted`` (the detour table's searches), and stops as soon
+    as ``target`` is settled: its entry is then final, and the entries of
+    vertices not yet settled are upper bounds only.
     """
     dist = [math.inf] * graph.n
     dist[source] = 0.0

@@ -222,13 +222,14 @@ ZERO_COST = PathFunction("zero", 0.0, lambda value, parent, road: 0.0, frozenset
 
 def path_value(func: PathFunction, path: Path) -> float:
     """Fold ``func.apply`` along the path's roads starting from the base."""
-    value = func.base
-    for i, key in enumerate(path.roads):
-        value = func.apply(value, path.prefix(i), path.graph.road(key))
+    value, prefix = func.base, Path(path.graph, path.source)
+    for key in path.roads:
+        value = func.apply(value, prefix, path.graph.road(key))
+        prefix = prefix.extended(key)
     return value
 
 
-def implied_properties(declared: frozenset[str] | set[str], system: PathSystem | None = None) -> frozenset[str]:
+def implied_properties(declared: frozenset[str] | set[str], system: PathSystem) -> frozenset[str]:
     """Closure of declared property flags under the standard derivations.
 
     Unrestricted order-preservation implies its minimum-path restriction;
@@ -244,7 +245,7 @@ def implied_properties(declared: frozenset[str] | set[str], system: PathSystem |
     a large p, can have minima that are not weakly inherited even though
     every member path is simple.
     """
-    simple = system is not None and system.kind == SIMPLE
+    simple = system.kind == SIMPLE
     rules = (
         ({SOP}, SOPSP),
         ({OP}, SOP),
@@ -277,8 +278,9 @@ class DetourTable:
 
     An entry ``(deleted, origin, target)`` is the distance from origin to
     target in the graph without that road, ``inf`` when the deletion
-    disconnects them; it equals ``dijkstra_classic(graph, origin,
-    deleted)[target]`` exactly.
+    disconnects them; it equals ``dijkstra_classic(remove_road(graph,
+    deleted), origin)[target]`` exactly. A target outside ``0..n-1`` is
+    rejected when its entry is first filled.
 
     Each origin gets one base search, `dijkstra_classic(graph, origin)`.
     A road is tight when its tail's base distance plus its weight, the
@@ -316,6 +318,8 @@ class DetourTable:
         return value
 
     def _fill(self, deleted: int, origin: int, target: int) -> float:
+        if not 0 <= target < self.graph.n:
+            raise ValueError(f"target {target} out of range")
         road = self.graph.road(deleted)
         base = self._base.get(origin)
         if base is None:

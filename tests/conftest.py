@@ -82,10 +82,9 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
     """
     assert tree.source in tree.covered
     assert set(tree.parent) == tree.covered - {tree.source}
-    if tree.order is not None:
-        assert tree.order[0] == tree.source
-        assert set(tree.order) == tree.covered
-        assert len(tree.order) == len(tree.covered)
+    assert tree.order[0] == tree.source
+    assert set(tree.order) == tree.covered
+    assert len(tree.order) == len(tree.covered)
     for v in sorted(tree.covered):
         path = tree.path_to(v)
         assert path.source == tree.source

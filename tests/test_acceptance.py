@@ -44,19 +44,10 @@ from minpath import (
 from minpath.cli import main as cli_main
 from minpath.verify import NO_VIOLATION
 
-from conftest import assert_tree_invariants, brute_simple_paths
+from conftest import assert_tree_invariants, brute_simple_paths, random_instances
 from test_paths import direct_risk
 
 TOL = 1e-9
-
-
-def _instances(count, n_range, seed_base, mode="directed"):
-    for i in range(count):
-        seed = seed_base + i
-        rng = random.Random(seed)
-        n = rng.randint(*n_range)
-        m = rng.randint(n, 3 * n)
-        yield generate_random(n, m, 0.0, 10.0, mode, seed)
 
 
 def _report(criterion, description):
@@ -66,7 +57,7 @@ def _report(criterion, description):
 def test_criterion_1_reduction_to_classic_dijkstra():
     """eda(classic) equals dijkstra_classic exactly on 100 nonnegative graphs."""
     started = time.perf_counter()
-    for g in _instances(100, (4, 9), seed_base=0):
+    for _, g in random_instances(100, (4, 9), seed_base=0):
         system = PathSystem.simple(0)
         func = classic_distance(g)
         tree, stats = eda(g, 0, system, func)
@@ -86,7 +77,7 @@ def test_criterion_2_eda_matches_oracle():
     """EDA value(v) = m_f(v) within 1e-9 for classic/antirisk/blocked-cost."""
     started = time.perf_counter()
     checked = 0
-    for g in _instances(200, (4, 8), seed_base=2000):
+    for _, g in random_instances(200, (4, 8), seed_base=2000):
         table = DetourTable(g)
         system = PathSystem.simple(0)
         functions = [
@@ -126,7 +117,7 @@ def test_criterion_3_embfa_matches_oracle():
     checked = 0
     flagged = 0
     missed = []  # (seed, function, witness) of flagged, non-inherited misses
-    for index, g in enumerate(_instances(200, (4, 8), seed_base=2000)):
+    for seed, g in random_instances(200, (4, 8), seed_base=2000):
         table = DetourTable(g)
         system = PathSystem.simple(0)
         functions = [
@@ -149,10 +140,10 @@ def test_criterion_3_embfa_matches_oracle():
                 # A miss on a weakly-inherited instance would be a real
                 # solver bug; fail hard and loudly on that.
                 assert wisp.violated, f"solver bug: {func.name}: {report.witness}"
-                missed.append((2000 + index, func.name, report.witness))
+                missed.append((seed, func.name, report.witness))
 
     saw_negative_weight = False
-    for g in _instances(100, (4, 8), seed_base=3000, mode="conservative"):
+    for _, g in random_instances(100, (4, 8), seed_base=3000, mode="conservative"):
         saw_negative_weight = saw_negative_weight or any(r.weight < 0 for r in g.roads)
         system = PathSystem.simple(0)
         func = classic_distance(g)
@@ -179,7 +170,7 @@ def test_criterion_4_antirisk_recurrence_fidelity():
     """Folded anti-risk equals the direct max-formula on every simple path."""
     started = time.perf_counter()
     paths_checked = 0
-    for g in _instances(50, (4, 7), seed_base=4000):
+    for _, g in random_instances(50, (4, 7), seed_base=4000):
         func = anti_risk(g)
         detour_cache: dict[int, dict[int, float]] = {}
 
@@ -209,7 +200,7 @@ def test_criterion_5_property_suites():
     """Declared properties verify empirically; the parity probe is caught."""
     started = time.perf_counter()
     parity_violations = 0
-    for g in _instances(50, (4, 6), seed_base=5000):
+    for _, g in random_instances(50, (4, 6), seed_base=5000):
         system = PathSystem.simple(0)
         table = DetourTable(g)
         suites = [
@@ -236,7 +227,7 @@ def test_criterion_6_complexity_budgets():
     """extend_calls stay within the analyzed budgets and scale no worse."""
     # hard per-instance budgets on a acceptance-sized sweep
     embfa_worst = 0.0
-    for g in _instances(50, (4, 8), seed_base=2000):
+    for _, g in random_instances(50, (4, 8), seed_base=2000):
         system = PathSystem.simple(0)
         func = classic_distance(g)
         _, eda_stats = eda(g, 0, system, func)
@@ -270,7 +261,7 @@ def test_criterion_6_complexity_budgets():
 def test_criterion_7_structural_invariants():
     """Every produced tree is a value-consistent arborescence in the system."""
     trees = 0
-    for g in _instances(50, (4, 8), seed_base=2000):
+    for _, g in random_instances(50, (4, 8), seed_base=2000):
         system = PathSystem.simple(0)
         table = DetourTable(g)
         for func in (classic_distance(g), anti_risk(g, table)):
@@ -284,7 +275,7 @@ def test_criterion_7_structural_invariants():
             tree, stats = embfa(g, 0, system, func)
             assert_tree_invariants(tree, system, func, stats)
             trees += 1
-    for g in _instances(20, (4, 8), seed_base=3000, mode="conservative"):
+    for _, g in random_instances(20, (4, 8), seed_base=3000, mode="conservative"):
         system = PathSystem.simple(0)
         func = classic_distance(g)
         tree, stats = embfa(g, 0, system, func)
@@ -292,7 +283,7 @@ def test_criterion_7_structural_invariants():
         trees += 1
     # spanning-tree arborescences, where the reachability contract holds
     spanning = 0
-    for g in _instances(40, (4, 8), seed_base=6000, mode="undirected"):
+    for _, g in random_instances(40, (4, 8), seed_base=6000, mode="undirected"):
         try:
             tree = sta(g, 0)
         except Exception:

@@ -18,6 +18,7 @@ from minpath import (
     PathSystem,
     PropertyRefusalError,
     Road,
+    RunStats,
     UnreachableVertexError,
     Vertex,
     anti_risk,
@@ -306,10 +307,11 @@ class TestEmbfa:
         func = PathFunction("first-return", 0.0, extend, frozenset({OP, NO_NEGATIVE_CIRCLES}))
         system = PathSystem.all_paths(0)
         tree, stats = embfa(g, 0, system, func)
-        assert format_tree(tree) == (
+        assert format_tree(tree, stats) == (
             "0 value=0.0 path=s=0\n"
             "1 value=1.0 path=s=0 -> 1[k0]\n"
             "2 value=2.0 path=s=0 -> 1[k0] -> 2[k2]\n"
+            "# extend_calls=9 relaxations=3 rounds=3\n"
         )
         assert tree.exact is False
         assert stats.vetoed == 1
@@ -405,6 +407,24 @@ def test_embfa_certificate_reads_the_returned_tree(mode):
                 assert tree.exact == (count == 0)
 
 
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_order_lists_the_paths_from_the_source(mode):
+    # eda and sta list vertices in discovery order (for eda, by value),
+    # embfa breadth-first down its tree; a ring through every vertex lets
+    # sta cover them all
+    for _, g in random_instances(20, (3, 10), seed_base=3000, mode=mode):
+        g = Graph(g.vertices, list(g.roads) + [Road(g.m + v, v, (v + 1) % g.n, 1.0) for v in range(g.n)])
+        system, func = PathSystem.simple(0), classic_distance(g)
+        eda_tree, _ = eda(g, 0, system, func)
+        embfa_tree, _ = embfa(g, 0, system, func)
+        for tree in (eda_tree, embfa_tree, sta(g, 0)):
+            assert tree.order == list(tree.paths)
+            assert tree.order[0] == 0
+        values = [eda_tree.value[v] for v in eda_tree.order]
+        depths = [len(embfa_tree.paths[v]) for v in embfa_tree.order]
+        assert values == sorted(values) and depths == sorted(depths)
+
+
 class TestDijkstraClassic:
     def test_diamond(self, diamond):
         assert dijkstra_classic(diamond, 0) == (0.0, 1.0, 2.0, 2.0)
@@ -422,29 +442,10 @@ class TestDijkstraClassic:
         with pytest.raises(ValueError, match="negative weight"):
             dijkstra_classic(g, 0)
 
-    @pytest.mark.parametrize("mode, weights", [
-        ("directed", (0.0, 10.0)),
-        ("undirected", (0.0, 10.0)),
-        ("directed", (0.0, 0.0)),
-        ("undirected", (0.0, 0.0)),
-    ])
-    def test_deleted_road_matches_removed_copy(self, mode, weights):
-        for _, g in random_instances(15, (3, 12), seed_base=1300, mode=mode, weights=weights):
-            # a parallel twin of every third road
-            g = Graph(g.vertices, list(g.roads) + [Road(g.m + r.key, r.tail, r.head, r.weight) for r in g.roads[::3]])
-            for source in range(3):
-                for road in g.roads:
-                    expected = dijkstra_classic(remove_road(g, road.key), source)
-                    assert dijkstra_classic(g, source, deleted=road.key) == expected
-
     @pytest.mark.parametrize("source", [-1, 4])
     def test_source_out_of_range(self, diamond, source):
         with pytest.raises(ValueError, match=f"source {source} out of range"):
             dijkstra_classic(diamond, source)
-
-    def test_unknown_deleted_key(self, diamond):
-        with pytest.raises(ValueError, match="unknown road key 99"):
-            dijkstra_classic(diamond, 0, deleted=99)
 
     def test_reduction_spot_check(self):
         for _, g in random_instances(10, (4, 9), seed_base=0):
@@ -470,7 +471,9 @@ class TestFormatTree:
 
     def test_sta_tree_has_no_values(self):
         tree = sta(single_road(), 0)
-        assert format_tree(tree) == ("0 value=- path=s=0\n1 value=- path=s=0 -> 1[k0]\n")
+        assert format_tree(tree, RunStats(rounds=1)) == (
+            "0 value=- path=s=0\n1 value=- path=s=0 -> 1[k0]\n# extend_calls=0 relaxations=0 rounds=1\n"
+        )
 
 
 def test_nan_from_extend_is_rejected():

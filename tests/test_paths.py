@@ -161,6 +161,14 @@ class TestDetourTable:
         with pytest.raises(ValueError, match="unknown road key"):
             DetourTable(diamond).distance(99, 0, 1)
 
+    @pytest.mark.parametrize("target", [-1, 4, 9])
+    def test_target_out_of_range(self, diamond, target):
+        # road 0 (s->a) is tight and road 1 (a->s) is not: both fill paths check
+        table = DetourTable(diamond)
+        for key in (0, 1):
+            with pytest.raises(ValueError, match=f"^target {target} out of range$"):
+                table.distance(key, 0, target)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_brute_force(self, seed):
         g = generate_random(6, 12, 0.0, 10.0, "directed", seed)
@@ -188,7 +196,7 @@ class TestDetourTable:
         # many threads fill the same base rows and tight entries at once
         g = generate_random(40, 160, 0.0, 10.0, "undirected", 5)
         queries = [(r.key, origin, r.head) for origin in range(4) for r in g.roads]
-        expected = [dijkstra_classic(g, origin, key)[head] for key, origin, head in queries]
+        expected = [dijkstra_classic(remove_road(g, key), origin)[head] for key, origin, head in queries]
         shared = DetourTable(g)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -217,9 +225,10 @@ class TestDetourTable:
             roads += [Road(2 * g.m + i, extra, v, float(i)) for i, v in enumerate((0, g.n - 1))]
             g = Graph(list(g.vertices) + [Vertex(extra)], roads)
             table = DetourTable(g)
-            for origin in (0, 1, 2):
-                for road in g.roads:
-                    expected = dijkstra_classic(g, origin, road.key)
+            for road in g.roads:
+                without = remove_road(g, road.key)
+                for origin in (0, 1, 2):
+                    expected = dijkstra_classic(without, origin)
                     for target in range(g.n):
                         assert table.distance(road.key, origin, target) == expected[target]
 
@@ -385,9 +394,9 @@ class TestDeclaredProperties:
         assert NO_NEGATIVE_CIRCLES not in implied
 
     def test_op_implies_weak_and_semi(self):
-        implied = implied_properties(frozenset({OP}))
+        implied = implied_properties(frozenset({OP}), PathSystem.all_paths(0))
         assert {SOP, SOPSP} <= implied
 
     def test_no_nonpositive_implies_no_negative(self):
-        implied = implied_properties(frozenset({NO_NONPOSITIVE_CIRCLES}))
+        implied = implied_properties(frozenset({NO_NONPOSITIVE_CIRCLES}), PathSystem.all_paths(0))
         assert NO_NEGATIVE_CIRCLES in implied

@@ -286,7 +286,7 @@ class TestCompareTreeToOracle:
         oracle = oracle_min(diamond, 0, system, func)
         paths = {v: path for v, path in tree.paths.items() if v != 3}
         value = {v: val for v, val in tree.value.items() if v != 3}
-        tree = ShortestPathTree(tree.source, paths, value, None)
+        tree = ShortestPathTree(tree.source, paths, value)
         report = compare_tree_to_oracle(tree, oracle)
         assert report.violated
         assert "covered sets differ" in report.witness
