@@ -45,7 +45,7 @@ class PropertyRefusalError(ValueError):
 
 
 class NegativeCircleError(RuntimeError):
-    """Relaxation kept improving past the simple-path horizon."""
+    """A relaxation found a circle that lowers a value (see `embfa`)."""
 
 
 class UnreachableVertexError(ValueError):
@@ -56,9 +56,11 @@ class UnreachableVertexError(ValueError):
 class RunStats:
     """Exact, deterministic operation counts for one solver run.
 
-    ``vetoed`` counts the roads out of embfa's returned tree whose
-    extension of the tail's tree path falls below the head's tree value,
-    each road once (see `embfa`); it is not part of the text form.
+    For embfa, ``extend_calls`` counts the relaxation scans and the
+    certificate pass, and ``rounds`` the passes, at most n. ``vetoed``
+    counts the roads out of embfa's returned tree whose extension of the
+    tail's tree path falls below the head's tree value, each road once
+    (see `embfa`); it is not part of the text form.
     """
 
     extend_calls: int = 0
@@ -216,22 +218,23 @@ def embfa(
     every candidate would repeat, so no relaxation is lost. A road (u, v)
     relaxes when the extension stays inside the system and the extended
     value improves on v's current value; v then adopts the whole extended
-    path. A reachable vertex whose every route costs ``inf`` adopts the
-    first infinite candidate so the covered set still matches the system's
-    reachable set. Uncovered vertices (the initial "no path yet" state) are
-    never scanned. Scans skip roads the system vetoes.
+    path. An uncovered vertex adopts even an infinite candidate, so the
+    covered set still matches the system's reachable set. Uncovered
+    vertices (the initial "no path yet" state) are never scanned. Scans
+    skip roads the system vetoes.
 
-    A road relaxed in pass k extends a stored path of at least k-1 roads,
-    and simple-path minima need at most n-1 roads, so any relaxation that
-    still succeeds in pass n certifies a negative circle and raises. A pass
-    with no relaxation ends the loop; ``stats.rounds`` is the number of
-    passes executed.
-
-    The returned tree is assembled from the recorded relaxation roads: a
-    link is recorded only when it keeps the link map acyclic and does not
-    enter the source. Values are then folded down the links from the
-    trivial source path, so every tree path is simple and its value is its
-    fold: the output is always a sound arborescence.
+    The stored paths form one tree: every covered vertex's stored path is
+    its parent's plus one road, and its stored value is that path's fold.
+    When v relaxes, its old subtree is disassembled (Tarjan's subtree
+    disassembly): v's descendants lose their paths and values, are skipped
+    if a pass reaches them, and are re-adopted by later scans. A relaxation
+    whose head already lies on the tail's tree path (the source included)
+    closes a circle that lowers the head's value, so it raises
+    `NegativeCircleError`; only an all-paths system admits one. Tree paths
+    are therefore simple, and pass k only builds paths of at least k roads,
+    so some pass among the first n relaxes nothing and ends the loop;
+    ``stats.rounds`` is the number of passes executed. The returned tree
+    lists its vertices breadth-first from the source.
 
     A final certificate pass reads only that tree. It extends every tree
     path by each road out of its vertex once, whether or not the system
@@ -255,29 +258,21 @@ def embfa(
     _check_source(graph, source, system)
     _require_properties(func, system, {OP, NO_NEGATIVE_CIRCLES}, "embfa")
     stats = RunStats()
-    n = graph.n
-    paths: dict[int, Path] = {source: Path(graph, source)}
+    paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     value: dict[int, float] = {source: func.base}
-    parent: dict[int, tuple[int, int]] = {}
-
-    def link_would_cycle(tail: int, head: int) -> bool:
-        at = tail
-        while at != head:
-            if at == source:
-                return False
-            at = parent[at][0]
-        return True
+    children: dict[int, list[int]] = {}  # tree children of each covered vertex
 
     active = [source]
     scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
-    for rnd in range(1, n + 1):
-        stats.rounds = rnd
+    while True:
+        stats.rounds += 1
         relaxed: set[int] = set()
         for u in active:
-            path_u, value_u = paths[u], value[u]
-            if scanned.get(u) is path_u:
-                continue  # unchanged since its last scan, so every candidate would repeat
+            path_u = paths.get(u)
+            if path_u is None or scanned.get(u) is path_u:
+                continue  # detached with an ancestor's subtree, or unchanged since its last scan
             scanned[u] = path_u
+            value_u = value[u]
             for road in graph.out_roads(u):
                 v = road.head
                 if not system.admits_extension(path_u, v):
@@ -285,48 +280,41 @@ def embfa(
                 candidate = func.apply(value_u, path_u, road)
                 stats.extend_calls += 1
                 if candidate < value.get(v, INF) or (v not in paths and candidate == INF):
-                    if rnd == n:
+                    if v in path_u.vertex_set:
                         raise NegativeCircleError(
-                            f"relaxation still improves vertex {v} via road {road.key} in round {n}; "
+                            f"road {road.key} from vertex {u} lowers vertex {v}, which lies on {u}'s tree path; "
                             "the path function has a negative circle on this input"
                         )
+                    if v in paths:
+                        # Subtree disassembly: v's descendants lose their paths
+                        # until later scans re-adopt them.
+                        children[paths[v].vertices[-2]].remove(v)
+                        detached = children.pop(v, [])
+                        for w in detached:
+                            del paths[w], value[w]
+                            detached.extend(children.pop(w, ()))
                     paths[v] = path_u.extended(road.key)
                     value[v] = candidate
-                    if not link_would_cycle(u, v):
-                        parent[v] = (u, road.key)
+                    children.setdefault(u, []).append(v)
                     stats.relaxations += 1
                     relaxed.add(v)
-                    if v == u:  # a self-loop replaced the tail's own path
-                        path_u, value_u = paths[u], value[u]
         if not relaxed:
             break
         active = sorted(relaxed)
 
-    # Fold values down the link tree from the trivial source path, one
-    # extension per covered vertex, breadth-first over the children lists.
-    children: dict[int, list[tuple[int, int]]] = {}
-    for v, (u, key) in parent.items():
-        children.setdefault(u, []).append((v, key))
-    chain_paths: dict[int, Path] = {source: Path(graph, source)}
-    chain_values: dict[int, float] = {source: func.base}
-    queue = [source]
-    for u in queue:
-        for v, key in children.get(u, ()):
-            chain_values[v] = func.apply(chain_values[u], chain_paths[u], graph.road(key))
-            stats.extend_calls += 1
-            chain_paths[v] = chain_paths[u].extended(key)
-            queue.append(v)
-
     # Certificate: one extension per road out of a tree vertex, member or
     # not. A candidate below its head's tree value is a vetoed improvement.
-    for u in sorted(chain_paths):
-        path_u, value_u = chain_paths[u], chain_values[u]
+    for u in sorted(paths):
+        path_u, value_u = paths[u], value[u]
         for road in graph.out_roads(u):
             candidate = func.apply(value_u, path_u, road)
             stats.extend_calls += 1
-            if candidate < chain_values.get(road.head, INF):
+            if candidate < value.get(road.head, INF):
                 stats.vetoed += 1
-    return ShortestPathTree(source, chain_paths, chain_values, stats.vetoed == 0), stats
+    order = [source]
+    for u in order:
+        order.extend(children.get(u, ()))
+    return ShortestPathTree(source, {v: paths[v] for v in order}, value, stats.vetoed == 0), stats
 
 
 def format_tree(tree: ShortestPathTree, stats: RunStats) -> str:

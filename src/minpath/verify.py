@@ -294,10 +294,10 @@ def check_no_negative_circles(
     for path, full in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
         del values[len(path) :]
         values.append(full)
-        t = path.terminal
-        for i in range(len(path)):
-            if path.vertices[i] != t:
-                continue
+        vertices = path.vertices
+        t = vertices[-1]
+        i = vertices.index(t)  # each earlier visit to t closes a circle
+        while i < len(path):
             diff = full - values[i]
             bad = diff <= tol if strict else diff < -tol
             if bad:
@@ -308,6 +308,7 @@ def check_no_negative_circles(
                 )
                 details = {"prefix": prefix, "full": path, "values": (values[i], full)}
                 return PropertyReport(name, VIOLATED, scope, witness, details)
+            i = vertices.index(t, i + 1)
     return PropertyReport(name, NO_VIOLATION, scope)
 
 

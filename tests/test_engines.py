@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from minpath import (
     Vertex,
     anti_risk,
     blocked_cost,
+    check_no_negative_circles,
     check_wisp,
     classic_distance,
     compare_tree_to_oracle,
@@ -34,6 +36,7 @@ from minpath import (
     generate_random,
     max_degree,
     oracle_min,
+    parity_length,
     parse_graph,
     path_value,
     remove_road,
@@ -49,6 +52,7 @@ from conftest import (
 
 from minpath.paths import NDSP, NO_NEGATIVE_CIRCLES, OP, SOPSP, WISP
 
+from test_acceptance import _negative_cycle_graph
 from test_paths import direct_risk
 
 
@@ -284,19 +288,19 @@ class TestEmbfa:
     def test_skips_a_tail_scanned_with_its_final_path(self):
         # Pass 1 scans 0 (2 calls). Pass 2 scans 1, which relaxes 2 ahead of
         # 2's own scan, then 2 with that path (2 calls). Pass 3 would scan 2
-        # again with the same path; only 3 is scanned (no roads). Re-fold: 3
-        # calls; certificate: 4. Rescanning 2 would make it 12.
+        # again with the same path; only 3 is scanned (no roads). Certificate:
+        # 4 calls. Rescanning 2 would make it 9.
         g = parse_graph("g 4 4\nv 0\nv 1\nv 2\nv 3\narc 0 1 1.0\narc 0 2 5.0\narc 1 2 1.0\narc 2 3 1.0\n")
         tree, stats = embfa(g, 0, PathSystem.simple(0), classic_distance(g))
         assert tree.value == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
         assert tree.exact is True
-        assert (stats.extend_calls, stats.relaxations, stats.rounds) == (11, 4, 3)
+        assert (stats.extend_calls, stats.relaxations, stats.rounds) == (8, 4, 3)
 
     def test_source_relaxation_keeps_the_trivial_root(self):
         # The function lies about negative circles: the first return to the
-        # source costs -1, so relaxation lowers the source itself. The tree
-        # is still folded from the trivial source path, and the road back
-        # into the source is the one improvement the certificate counts.
+        # source costs -1, so the circle 0 -> 1 -> 0 lowers the source. The
+        # source stays the trivial root: a relaxation into a vertex on the
+        # tail's own tree path is a concrete negative circle, and it raises.
         g = Graph([Vertex(i) for i in range(3)], [Road(0, 0, 1, 1.0), Road(1, 1, 0, 1.0), Road(2, 1, 2, 1.0)])
 
         def extend(value, parent, road):
@@ -305,17 +309,8 @@ class TestEmbfa:
             return len(parent.roads) + 1.0
 
         func = PathFunction("first-return", 0.0, extend, frozenset({OP, NO_NEGATIVE_CIRCLES}))
-        system = PathSystem.all_paths(0)
-        tree, stats = embfa(g, 0, system, func)
-        assert format_tree(tree, stats) == (
-            "0 value=0.0 path=s=0\n"
-            "1 value=1.0 path=s=0 -> 1[k0]\n"
-            "2 value=2.0 path=s=0 -> 1[k0] -> 2[k2]\n"
-            "# extend_calls=9 relaxations=3 rounds=3\n"
-        )
-        assert tree.exact is False
-        assert stats.vetoed == 1
-        assert_tree_invariants(tree, system, func, stats)
+        with pytest.raises(NegativeCircleError, match="road 1 from vertex 1 lowers vertex 0"):
+            embfa(g, 0, PathSystem.all_paths(0), func)
 
     def test_negative_self_loop_on_all_paths(self):
         g = Graph(
@@ -423,6 +418,60 @@ def test_order_lists_the_paths_from_the_source(mode):
         values = [eda_tree.value[v] for v in eda_tree.order]
         depths = [len(embfa_tree.paths[v]) for v in embfa_tree.order]
         assert values == sorted(values) and depths == sorted(depths)
+
+
+def _over_declared(g):
+    # functions that claim order preservation and no negative circles, wrongly
+    flags = frozenset({OP, NO_NEGATIVE_CIRCLES})
+    funcs = [parity_length(g)] + [expected_cost(g, p) for p in (0.5, 0.7, 0.9)]
+    return [replace(func, declared_properties=flags) for func in funcs]
+
+
+def test_every_negative_circle_error_is_a_real_circle():
+    cases = [(g, classic_distance(g)) for g in map(_negative_cycle_graph, range(8000, 8020))]
+    for mode in ("directed", "undirected"):
+        for _, g in random_instances(200, (3, 6), seed_base=7000, mode=mode):
+            cases += [(g, func) for func in _over_declared(g)]
+    raised = 0
+    for g, func in cases:
+        try:
+            embfa(g, 0, PathSystem.all_paths(0), func)
+        except NegativeCircleError:
+            raised += 1
+            assert check_no_negative_circles(g, 0, func).violated, func.name
+    assert raised >= 20
+
+
+def test_circle_under_a_fixed_point_raises():
+    # Expected-cost at p=0.5 over all paths, declared free of negative
+    # circles: the circle 4 -> 3 -> 4 lowers a value by 4.47. Dropping the
+    # relaxations that would close a cycle in the tree ends here on a tree
+    # the certificate accepts. Relaxing road 21 into vertex 2, already on
+    # vertex 1's tree path, is itself a lowering circle, so embfa raises.
+    ((_, g),) = random_instances(1, (3, 10), seed_base=7333, mode="undirected")
+    assert (g.n, g.m) == (8, 22)
+    func = replace(expected_cost(g, 0.5), declared_properties=frozenset({OP, NO_NEGATIVE_CIRCLES}))
+    with pytest.raises(NegativeCircleError, match="road 21 from vertex 1 lowers vertex 2"):
+        embfa(g, 0, PathSystem.all_paths(0), func)
+    report = check_no_negative_circles(g, 0, func)
+    assert report.violated
+    prefix_value, full_value = report.details["values"]
+    assert full_value - prefix_value == pytest.approx(-4.469, abs=1e-3)
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_embfa_ends_within_n_passes(mode):
+    # no pass cap: tree paths stay simple and pass k builds paths of at
+    # least k roads, whatever the function
+    for _, g in random_instances(200, (3, 6), seed_base=7000, mode=mode):
+        for func in _over_declared(g):
+            for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+                try:
+                    tree, stats = embfa(g, 0, system, func)
+                except NegativeCircleError:
+                    continue
+                assert stats.rounds <= g.n
+                assert_tree_invariants(tree, system, func, stats)
 
 
 class TestDijkstraClassic:
