@@ -248,30 +248,51 @@ def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
         raise ValueError(f"source {source} out of range")
     if any(r.weight < 0 for r in graph.roads):
         raise ValueError("negative weight present")
-    return tuple(_dijkstra(graph, source, None))
+    return tuple(_single_source(graph, source)[0])
 
 
-def _dijkstra(graph: Graph, source: int, deleted: int | None, target: int | None = None) -> list[float]:
-    """The heap loop of `dijkstra_classic`, without its argument checks.
-
-    Skips road ``deleted`` (the detour table's searches), and stops as soon
-    as ``target`` is settled: its entry is then final, and the entries of
-    vertices not yet settled are upper bounds only.
-    """
+def _single_source(
+    graph: Graph, source: int, deleted: int | None = None, target: int | None = None
+) -> tuple[list[float], list[Road | None]]:
+    """`_dijkstra` from ``source`` alone: the distance row and the parent roads."""
     dist = [math.inf] * graph.n
     dist[source] = 0.0
-    heap = [(0.0, source)]
+    return dist, _dijkstra(graph, dist, [(0.0, source)], deleted, target)
+
+
+def _dijkstra(
+    graph: Graph,
+    dist: list[float],
+    heap: list[tuple[float, int]],
+    deleted: int | None = None,
+    target: int | None = None,
+) -> list[Road | None]:
+    """The heap loop of `dijkstra_classic`, without its argument checks.
+
+    Settles vertices from the labels in ``heap`` (a heap of ``(dist[v], v)``
+    pairs), lowering ``dist`` in place, and returns each vertex's parent
+    road: the last road that lowered its label, None where none did. Run
+    to the end from a single source, the parent roads form the shortest-path
+    tree. Skips road ``deleted``, and stops as soon as ``target`` is
+    settled: its entry is then final, and the entries of vertices not yet
+    settled are upper bounds only. `DetourTable` runs it from a source, and
+    from a base row whose subtree labels were reset and reseeded.
+    """
+    parent: list[Road | None] = [None] * graph.n
+    out = graph._out
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue  # stale entry: u was settled at a smaller distance
         if u == target:
             break
-        for road in graph.out_roads(u):
-            if d + road.weight < dist[road.head] and road.key != deleted:
-                dist[road.head] = d + road.weight
-                heapq.heappush(heap, (dist[road.head], road.head))
-    return dist
+        for road in out[u]:
+            label = d + road.weight
+            if label < dist[road.head] and road.key != deleted:
+                dist[road.head] = label
+                parent[road.head] = road
+                heapq.heappush(heap, (label, road.head))
+    return parent
 
 
 def max_degree(graph: Graph) -> int:

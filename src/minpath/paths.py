@@ -10,11 +10,12 @@ after detour caching.
 
 from __future__ import annotations
 
+import heapq
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import Graph, Road, _dijkstra, dijkstra_classic
+from .graphs import Graph, Road, _dijkstra, _single_source
 
 __all__ = [
     "INF",
@@ -280,32 +281,50 @@ class DetourTable:
     target in the graph without that road, ``inf`` when the deletion
     disconnects them; it equals ``dijkstra_classic(remove_road(graph,
     deleted), origin)[target]`` exactly. A target outside ``0..n-1`` is
-    rejected when its entry is first filled.
+    rejected when its entry is first filled, and so is an origin (as
+    ``dijkstra_classic`` rejects a source).
 
-    Each origin gets one base search, `dijkstra_classic(graph, origin)`.
-    A road is tight when its tail's base distance plus its weight, the
-    same float add that Dijkstra's relaxation makes, equals its head's
-    base distance. Deleting a road that is not tight changes no distance
-    from the origin: float addition with a nonnegative weight is monotone,
-    so the base distances are the minimal left-fold sums over all paths,
-    and the base search's own parent chains attain them using tight roads
-    only. Such a query is answered from the base row. A tight road gets a
-    search of its own that skips it and stops once ``target`` is settled.
-    Every answer is cached under the whole key: every built-in function
-    asks for one target per deleted road (its head), so a caller that
-    asks for many targets of one tight road pays one search per target.
-    A graph with a negative road is rejected: every built-in function
-    that reads a table requires nonnegative weights.
+    Each origin gets one base search, which keeps the shortest-path tree
+    it settles: every vertex's parent road. The base distances are the
+    minimal left-fold sums over all paths (float addition with a
+    nonnegative weight is monotone), and each tree path attains its
+    vertex's distance. So a query is answered by one of three routes:
+
+    - The deleted road is not its head's parent road. Every tree path
+      survives the deletion, so the answer is read from the base row. This
+      holds for a tight road tied with the tree road too.
+    - The deleted road u->v is v's parent road and the origin is not u.
+      Only v's subtree loses its tree paths. One search builds the whole
+      row: the base row with the subtree's entries reset, each subtree
+      vertex seeded with the best ``base[y] + w`` over the other roads y->x
+      entering it from outside, and the heap loop run from those seeds.
+      No road out of the subtree lowers a vertex outside it, because its
+      label is at least ``base[x] + w``, which is at least the head's base
+      distance. The row is cached under ``(deleted, origin)`` and answers
+      every target. The in-road lists it seeds from are built once per
+      table.
+    - The deleted road is a parent road and the origin is its tail, as
+      blocked-cost and expected-cost ask. Such a row would serve one
+      query, so the search skips the road and stops once ``target`` is
+      settled. A caller that asks for many targets of one such road pays
+      one search per target.
+
+    Every answer is also cached under the whole key. A graph with a
+    negative road is rejected: every built-in function that reads a table
+    requires nonnegative weights.
 
     Entries fill on demand and are never invalidated (the graph is
     immutable). Concurrent fills race benignly: every writer computes
-    identical values.
+    identical values and publishes only finished ones.
     """
 
     def __init__(self, graph: Graph):
         _require_nonnegative(graph, "DetourTable")
         self.graph = graph
-        self._base: dict[int, tuple[float, ...]] = {}
+        self._trees: dict[int, tuple[list[float], list[Road | None]]] = {}
+        self._children: dict[int, list[list[int]]] = {}
+        self._into: list[list[Road]] | None = None
+        self._rows: dict[tuple[int, int], list[float]] = {}
         self._entries: dict[tuple[int, int, int], float] = {}
 
     def distance(self, deleted: int, origin: int, target: int) -> float:
@@ -318,15 +337,58 @@ class DetourTable:
         return value
 
     def _fill(self, deleted: int, origin: int, target: int) -> float:
-        if not 0 <= target < self.graph.n:
+        n = self.graph.n
+        if not 0 <= target < n:
             raise ValueError(f"target {target} out of range")
         road = self.graph.road(deleted)
-        base = self._base.get(origin)
-        if base is None:
-            base = self._base[origin] = dijkstra_classic(self.graph, origin)
-        if base[road.tail] + road.weight != base[road.head]:
+        tree = self._trees.get(origin)
+        if tree is None:
+            if not 0 <= origin < n:
+                raise ValueError(f"source {origin} out of range")
+            tree = self._trees[origin] = _single_source(self.graph, origin)
+        base, parent = tree
+        if parent[road.head] is not road:
             return base[target]
-        return _dijkstra(self.graph, origin, deleted, target)[target]
+        if origin == road.tail:
+            return _single_source(self.graph, origin, deleted, target)[0][target]
+        row = self._rows.get((deleted, origin))
+        if row is None:
+            row = self._rows[deleted, origin] = self._subtree_row(origin, road)
+        return row[target]
+
+    def _subtree_row(self, origin: int, road: Road) -> list[float]:
+        """Distances from ``origin`` without tree road ``road``: see the class docstring."""
+        base, parent = self._trees[origin]
+        children = self._children.get(origin)
+        if children is None:
+            children = [[] for _ in base]
+            for v, r in enumerate(parent):
+                if r is not None:
+                    children[r.tail].append(v)
+            self._children[origin] = children
+        into = self._into
+        if into is None:
+            into = [[] for _ in base]
+            for r in self.graph.roads:
+                into[r.head].append(r)
+            self._into = into
+        subtree = [road.head]
+        for v in subtree:
+            subtree.extend(children[v])
+        row = list(base)
+        for v in subtree:
+            row[v] = INF
+        heap = []
+        for v in subtree:
+            # the reset entries read as inf, so roads from inside the subtree seed nothing
+            label = min([row[r.tail] + r.weight for r in into[v] if r is not road], default=INF)
+            if label < INF:
+                heap.append((label, v))
+        for label, v in heap:
+            row[v] = label
+        heapq.heapify(heap)
+        _dijkstra(self.graph, row, heap)
+        return row
 
 
 def _require_nonnegative(graph: Graph, name: str) -> None:

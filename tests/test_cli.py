@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -60,6 +61,22 @@ class TestSolve:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("extra, digest", [
+        (["--algorithm", "eda", "--function", "antirisk"],
+         "2925162ce1f93ea14ef0167cba662231aae5dfa5ac36c6d79bce676b511873ef"),
+        (["--algorithm", "eda", "--function", "blocked-cost", "--p", "0.3"],
+         "89afc320fb8567fc4a2074d33e1bc82fa4208d3ad53924261c661b9398e45799"),
+        (["--algorithm", "embfa", "--function", "expected-cost", "--p", "0.7"],
+         "d3f53d1dd798479dac6c5df5af6dd8e2c02000525b340f1b6512822beb616e53"),
+    ], ids=["eda-antirisk", "eda-blocked-cost", "embfa-expected-cost"])
+    def test_detour_functions_pinned_output(self, tmp_path, capsys, extra, digest):
+        # digests of the 61-line stdout, recorded before the detour table read its base tree
+        assert main(["gen", "--n", "60", "--m", "240", "--seed", "11"]) == 0
+        graph_file = tmp_path / "g11.g"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["solve", "--graph", str(graph_file), "--source", "0"] + extra) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_sta_prints_structural_tree(self, diamond_file, capsys):
         code = main(["solve", "--graph", diamond_file, "--source", "0", "--algorithm", "sta"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minpath.graphs
 import minpath.paths
 from minpath import (
     INF,
@@ -232,30 +233,75 @@ class TestDetourTable:
                     for target in range(g.n):
                         assert table.distance(road.key, origin, target) == expected[target]
 
-    def test_off_path_deletion_runs_no_search(self, diamond, monkeypatch):
-        calls = []
-        base_search, detour_search = minpath.paths.dijkstra_classic, minpath.paths._dijkstra
+    def test_one_search_per_origin_and_tree_row(self, diamond, monkeypatch):
+        base, from_a = dijkstra_classic(diamond, 0), dijkstra_classic(diamond, 1)
+        without_at = dijkstra_classic(remove_road(diamond, 6), 0)
+        searches = []
+        loop = minpath.graphs._dijkstra
 
-        def counted(name, search):
-            def wrapper(*args):
-                calls.append((name, args[1:]))
-                return search(*args)
-            return wrapper
+        def counted(*args):
+            searches.append(args)
+            return loop(*args)
 
-        monkeypatch.setattr(minpath.paths, "dijkstra_classic", counted("base", base_search))
-        monkeypatch.setattr(minpath.paths, "_dijkstra", counted("detour", detour_search))
+        monkeypatch.setattr(minpath.graphs, "_dijkstra", counted)
+        monkeypatch.setattr(minpath.paths, "_dijkstra", counted)
         table = DetourTable(diamond)
-        base = dijkstra_classic(diamond, 0)
-        off_path = [r.key for r in diamond.roads if base[r.tail] + r.weight != base[r.head]]
-        assert off_path == [1, 3, 5, 7, 8, 9]
-        for key in off_path:
+        # b's tree road is s->b (key 2); a->b (key 4) is tight and tied with it
+        assert base[1] + diamond.road(4).weight == base[2]
+        non_tree = [1, 3, 4, 5, 7, 8, 9]
+        for key in non_tree:
             for target in range(diamond.n):
                 assert table.distance(key, 0, target) == base[target]
-        assert calls == [("base", (0,))]
-        # a tight road (a->t) gets one search that stops at its target
-        assert table.distance(6, 0, 3) == 4.0
-        assert table.distance(6, 0, 3) == 4.0
-        assert calls == [("base", (0,)), ("detour", (0, 6, 3))]
+        assert len(searches) == 1
+        # a->t (key 6) is t's tree road, and origin s is not its tail: one row answers every target
+        for target in range(diamond.n):
+            assert table.distance(6, 0, target) == without_at[target]
+        assert len(searches) == 2
+        # a second origin gets its own base search; the first origin's tree is kept
+        assert table.distance(7, 1, 3) == from_a[3]
+        assert table.distance(9, 0, 2) == base[2]
+        assert len(searches) == 3
+
+    @pytest.mark.parametrize("origin", [-1, 4], ids=["-1", "n"])
+    def test_origin_out_of_range(self, diamond, origin):
+        # road 6 (a->t) is a tree road from every in-range origin but t, road 7 (t->a) is not
+        table = DetourTable(diamond)
+        for key in (6, 7):
+            with pytest.raises(ValueError, match=f"^source {origin} out of range$"):
+                table.distance(key, origin, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_query_order_matches_dijkstra_without_the_road(self, data):
+        n = data.draw(st.integers(2, 10), label="n")
+        undirected = data.draw(st.booleans(), label="undirected")
+        weight = data.draw(st.sampled_from([
+            st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+            st.integers(0, 2).map(float),
+            st.just(0.0),
+        ]), label="weights")
+        ends = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        roads = []
+        for tail, head in ends:
+            w = data.draw(weight)
+            roads += [(tail, head, w), (head, tail, w)] if undirected else [(tail, head, w)]
+        if data.draw(st.booleans(), label="twins"):
+            roads += roads[::2]
+        # vertex n is reached from no origin but has roads out
+        roads += [(n, 0, 1.0), (n, n - 1, 0.0)]
+        g = Graph([Vertex(v) for v in range(n + 1)], [Road(k, *r) for k, r in enumerate(roads)])
+        queries = []
+        for road in g.roads:
+            for origin in {road.tail, data.draw(st.integers(0, n), label="origin")}:
+                queries += [(road.key, origin, target) for target in range(g.n)]
+        queries = data.draw(st.permutations(queries), label="order")
+        queries.sort(key=lambda q: q[2] == g.road(q[0]).head)  # stable: non-head targets first
+        table = DetourTable(g)
+        rows = {}
+        for key, origin, target in queries:
+            if (key, origin) not in rows:
+                rows[key, origin] = dijkstra_classic(remove_road(g, key), origin)
+            assert table.distance(key, origin, target) == rows[key, origin][target]
 
     def test_rejects_negative_road(self):
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 2 -1.0\narc 0 2 3.0\n")
