@@ -248,8 +248,7 @@ class TestDetourTable:
         table = DetourTable(diamond)
         # b's tree road is s->b (key 2); a->b (key 4) is tight and tied with it
         assert base[1] + diamond.road(4).weight == base[2]
-        non_tree = [1, 3, 4, 5, 7, 8, 9]
-        for key in non_tree:
+        for key in (1, 3, 4, 5, 7, 8):
             for target in range(diamond.n):
                 assert table.distance(key, 0, target) == base[target]
         assert len(searches) == 1
@@ -259,12 +258,12 @@ class TestDetourTable:
         assert len(searches) == 2
         # a second origin gets its own base search; the first origin's tree is kept
         assert table.distance(7, 1, 3) == from_a[3]
-        assert table.distance(9, 0, 2) == base[2]
+        assert table.distance(9, 0, 2) == base[2]  # t->b, not asked before
         assert len(searches) == 3
 
     @pytest.mark.parametrize("origin", [-1, 4], ids=["-1", "n"])
     def test_origin_out_of_range(self, diamond, origin):
-        # road 6 (a->t) is a tree road from every in-range origin but t, road 7 (t->a) is not
+        # road 6 (a->t) is in the tree from s and road 7 (t->a) is not: neither route skips the check
         table = DetourTable(diamond)
         for key in (6, 7):
             with pytest.raises(ValueError, match=f"^source {origin} out of range$"):
@@ -287,7 +286,7 @@ class TestDetourTable:
             roads += [(tail, head, w), (head, tail, w)] if undirected else [(tail, head, w)]
         if data.draw(st.booleans(), label="twins"):
             roads += roads[::2]
-        # vertex n is reached from no origin but has roads out
+        # vertex n has roads out and none in: only a search from n itself reaches it
         roads += [(n, 0, 1.0), (n, n - 1, 0.0)]
         g = Graph([Vertex(v) for v in range(n + 1)], [Road(k, *r) for k, r in enumerate(roads)])
         queries = []
