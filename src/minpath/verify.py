@@ -7,6 +7,10 @@ the quantified definitions exhaustively within an enumeration bound: a
 ``no-violation-found`` verdict is bounded evidence, not proof, while a
 ``violated`` verdict always carries a concrete witness.
 
+The oracle's walk is kept as a census of its instance (see `_oracle`):
+`oracle_min`, `check_wisp` and `check_property` on the simple system read
+it, so checking one instance walks its simple paths once.
+
 Value comparisons use an absolute tolerance (default 1e-9). Conclusions of
 strict clauses are flagged only when clearly beyond tolerance; within
 tolerance the strict variants are indistinguishable from their weak forms.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, Road
 from .paths import (
@@ -102,7 +106,10 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
     Children are visited in road-key order and the trivial path comes
     first, so the stream order is deterministic and complete for the bound.
     """
-    return (path for path, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
+    return (path for path, _, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
+
+
+_Member = tuple[Path, float, dict[int, float]]
 
 
 def _walk_values(
@@ -111,29 +118,36 @@ def _walk_values(
     system: PathSystem,
     func: PathFunction,
     max_roads: int,
-) -> Iterator[tuple[Path, float]]:
-    """(member, value) pairs in `enumerate_paths` order; each value is one
-    checked extension of its parent's."""
+) -> Iterator[_Member]:
+    """(member, value, sons) triples in `enumerate_paths` order.
+
+    Each value is one checked extension of its parent's, and the walk also
+    records it in the parent's ``sons`` under the road's key. So once the
+    walk has left a member, its ``sons`` holds the value of every admitted
+    son within the bound (none for a member of ``max_roads`` roads).
+    """
     if max_roads < 0:
         raise ValueError("max_roads must be nonnegative")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
 
-    def walk() -> Iterator[tuple[Path, float]]:
+    def walk() -> Iterator[_Member]:
         root = Path(graph, source)
-        yield root, func.base
-        # one entry per path on the current branch: its value and its
-        # remaining roads, so each yield costs O(1) whatever the depth
-        stack = [(root, func.base, iter(graph.out_roads(source)))] if max_roads else []
+        sons: dict[int, float] = {}
+        yield root, func.base, sons
+        # one entry per path on the current branch: its value, its sons and
+        # its remaining roads, so each yield costs O(1) whatever the depth
+        stack = [(root, func.base, sons, iter(graph.out_roads(source)))] if max_roads else []
         while stack:
-            path, value, roads = stack[-1]
+            path, value, sons, roads = stack[-1]
             for road in roads:
                 if system.admits_extension(path, road.head):
                     child = path.extended(road.key)
-                    child_value = func.apply(value, path, road)
-                    yield child, child_value
+                    child_value = sons[road.key] = func.apply(value, path, road)
+                    child_sons: dict[int, float] = {}
+                    yield child, child_value, child_sons
                     if len(child.roads) < max_roads:
-                        stack.append((child, child_value, iter(graph.out_roads(road.head))))
+                        stack.append((child, child_value, child_sons, iter(graph.out_roads(road.head))))
                     break
             else:
                 stack.pop()
@@ -141,26 +155,92 @@ def _walk_values(
     return walk()
 
 
-def _group(pairs: Iterable[tuple[Path, float]]) -> dict[int, list[tuple[Path, float]]]:
-    """The (member, value) pairs grouped by terminal, each group in walk order."""
-    groups: dict[int, list[tuple[Path, float]]] = {}
-    for pair in pairs:
-        groups.setdefault(pair[0].terminal, []).append(pair)
+class _FreshSons:
+    """A member's sons by road key, each admitted and valued on request: the
+    walk's own record stops at the bound, which may cut admitted sons off."""
+
+    __slots__ = ("graph", "system", "func", "path", "value")
+
+    def __init__(self, graph: Graph, system: PathSystem, func: PathFunction, path: Path, value: float):
+        self.graph = graph
+        self.system = system
+        self.func = func
+        self.path = path
+        self.value = value
+
+    def __contains__(self, key: int) -> bool:
+        return self.system.admits_extension(self.path, self.graph.road(key).head)
+
+    def __getitem__(self, key: int) -> float:
+        return self.func.apply(self.value, self.path, self.graph.road(key))
+
+
+def _group(members: Iterable[_Member]) -> dict[int, list[_Member]]:
+    """The walked members grouped by terminal, each group in walk order."""
+    groups: dict[int, list[_Member]] = {}
+    for member in members:
+        groups.setdefault(member[0].terminal, []).append(member)
     return groups
 
 
-def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> tuple:
-    """The oracle's one walk over every simple path, behind its gate: the
-    result, the walk's (member, value) pairs in pre-order, and `_group` of them."""
+class _Census(NamedTuple):
+    """One walk over every simple path of an instance, as all checks read it."""
+
+    minimum: dict[int, float]
+    witness: dict[int, Path]
+    walk: list[_Member]  # pre-order, every member's sons complete
+    groups: dict[int, list[_Member]]  # `_group(walk)`
+
+
+# The last census built and its instance: (graph, func, source, census).
+# The checks are separate public functions with no object passed between
+# them, so the census lives here. The strong references keep the
+# identities it is keyed by from being reused while it is cached. The slot is only ever replaced whole: emptied
+# before a walk, so that two censuses are never alive at once, and filled
+# only by a walk that finished.
+_last_census: tuple = (None, None, None, None)
+
+
+def _cached_census(graph: Graph, source: int, func: PathFunction) -> _Census | None:
+    """The cached census of this instance, if it is the slot's; apart from
+    `_oracle` so that no local of it holds the old census during a walk."""
+    cached_graph, cached_func, cached_source, census = _last_census
+    if cached_graph is graph and cached_func is func and cached_source == source:
+        return census
+    return None
+
+
+def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> _Census:
+    """The census of one instance, behind the oracle's gate.
+
+    An instance is the identity of ``graph`` and ``func`` plus ``source``
+    (``system`` only feeds the gate, which runs on every call: the walk is
+    always the simple system's, to depth n-1). The census is built by one
+    walk the first time an instance asks and kept in one module-level slot,
+    so `oracle_min`, `check_property` and `check_wisp` on the same instance
+    share it. The slot pins that one census, with its graph and function,
+    until a call on another instance releases it before walking.
+    """
+    global _last_census
     if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
         raise ValueError(
             f"oracle requires a function without negative circles; {func.name!r} does not declare one"
         )
-    pairs = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1))
-    groups = _group(pairs)
+    census = _cached_census(graph, source, func)
+    if census is not None:
+        return census
+    _last_census = (None, None, None, None)
+    walk = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1))
+    groups = _group(walk)
     best = {t: min(group, key=itemgetter(1)) for t, group in groups.items()}  # ties keep the first
-    minimum = {t: value for t, (_, value) in best.items()}
-    return OracleResult(source, minimum, {t: path for t, (path, _) in best.items()}, len(pairs)), pairs, groups
+    census = _Census(
+        {t: value for t, (_, value, _) in best.items()},
+        {t: path for t, (path, _, _) in best.items()},
+        walk,
+        groups,
+    )
+    _last_census = (graph, func, source, census)
+    return census
 
 
 def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> OracleResult:
@@ -170,9 +250,12 @@ def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction
     never needs a circle to reach a minimum; the gate accepts declared (or
     implied) circle-freedom, which on a simple-path system holds vacuously.
     Ties keep the first path in enumeration order. Exponential: intended
-    for n up to about 10.
+    for n up to about 10. The walk is the instance's census (see `_oracle`),
+    which later checks of the same graph, function and source read instead
+    of walking again; the result is a fresh copy each call.
     """
-    return _oracle(graph, source, system, func)[0]
+    census = _oracle(graph, source, system, func)
+    return OracleResult(source, dict(census.minimum), dict(census.witness), len(census.walk))
 
 
 def check_property(
@@ -190,32 +273,37 @@ def check_property(
     sons; order-preservation clauses scan every ordered pair of same-terminal
     paths together with every common extension road whose extensions stay in
     the system. The "-SP" variants restrict the hypothesis side to minimum
-    paths (minima from `oracle_min`; on a simple system with a bound of at
-    least n-1 the scan is the oracle's own walk and is made once). The first
-    violation in enumeration order is reported.
+    paths (minima from `oracle_min`). On a simple system with a bound of at
+    least n-1 every property reads the instance's census (see `_oracle`):
+    its walk holds every path, and every son value already, so the check
+    walks and extends nothing once the census exists, and leaves that one
+    census cached. Other systems and bounds walk and extend afresh. The
+    first violation in enumeration order is reported.
     """
     if prop not in DEF1_PROPERTIES:
         raise ValueError(f"unknown property name {prop!r}")
     if max_roads is None:
         max_roads = graph.n - 1
     scope = f"max_roads:{max_roads}"
-    hypothesis = prop in _MINIMUM_HYPOTHESIS
-    if hypothesis and system == PathSystem.simple(source) and max_roads >= graph.n - 1:
-        oracle, _, groups = _oracle(graph, source, system, func)  # this walk is the oracle's
+    if system == PathSystem.simple(source) and max_roads >= graph.n - 1:
+        census = _oracle(graph, source, system, func)
+        minima, groups = census.minimum, census.groups
     else:
-        oracle = oracle_min(graph, source, system, func) if hypothesis else None
-        groups = _group(_walk_values(graph, source, system, func, max_roads))
-    minima = oracle.minimum if oracle else None
+        minima = _oracle(graph, source, system, func).minimum if prop in _MINIMUM_HYPOTHESIS else None
+        groups = _group(
+            (path, value, _FreshSons(graph, system, func, path, value))
+            for path, value, _ in _walk_values(graph, source, system, func, max_roads)
+        )
 
     if prop in (NDSP, INSP):
         for t, group in sorted(groups.items()):
-            for path, value in group:
+            for path, value, sons in group:
                 if not _close(value, minima[t], tol):
                     continue
                 for road in graph.out_roads(t):
-                    if not system.admits_extension(path, road.head):
+                    if road.key not in sons:
                         continue
-                    son_value = func.apply(value, path, road)
+                    son_value = sons[road.key]
                     if son_value < value - tol:
                         witness = (
                             f"P={format_path(path)} f={value!r}; "
@@ -231,11 +319,7 @@ def check_property(
 
     for t, group in sorted(groups.items()):
         for road in graph.out_roads(t):
-            extended = [
-                (path, value, func.apply(value, path, road))
-                for path, value in group
-                if system.admits_extension(path, road.head)
-            ]
+            extended = [(path, value, sons[road.key]) for path, value, sons in group if road.key in sons]
             for path_a, value_a, ext_a in extended:
                 if minimum_side and not _close(value_a, minima[t], tol):
                     continue
@@ -291,7 +375,7 @@ def check_no_negative_circles(
     scope = f"max_roads:{max_roads}"
 
     values: list[float] = []  # values[i]: the value of the current path's i-road prefix
-    for path, full in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
+    for path, full, _ in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
         del values[len(path) :]
         values.append(full)
         vertices = path.vertices
@@ -323,14 +407,15 @@ def check_wisp(
 
     Weak inheritance asks that each reachable vertex admit some path whose
     every prefix is a minimum path. Minimum witnesses never need circles, so
-    one pass over the oracle's simple-path walk marks each minimum path whose
-    parent is marked (the trivial path is). Violated when a vertex has none.
+    one pass over the instance's census (the oracle's simple-path walk, see
+    `_oracle`) marks each minimum path whose parent is marked (the trivial
+    path is). Violated when a vertex has none.
     """
-    oracle, pairs, _ = _oracle(graph, source, system, func)
-    minimum = oracle.minimum
+    census = _oracle(graph, source, system, func)
+    minimum = census.minimum
     witnessed: set[int] = set()
     flags: list[bool] = []  # flags[i]: the current path's i-road prefix is a witness
-    for path, value in pairs:
+    for path, value, _ in census.walk:
         del flags[len(path) :]
         flags.append(not flags or (flags[-1] and _close(value, minimum[path.terminal], tol)))
         if flags[-1]:

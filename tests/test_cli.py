@@ -9,7 +9,7 @@ import re
 import pytest
 
 from minpath import PathSystem, blocked_cost, eda, format_tree, generate_random, serialize_graph
-from minpath.cli import main
+from minpath.cli import PROPERTY_CHECKS, main
 
 from conftest import DIAMOND_TEXT
 
@@ -223,6 +223,26 @@ class TestVerify:
     def test_requires_something_to_check(self, diamond_file, capsys):
         code = main(["verify", "--graph", diamond_file, "--source", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("seed, extra, code, digest", [
+        (1, ["--algorithm", "eda", "--function", "antirisk"], 0,
+         "7c06ebc70e408389dff6c675e5321a81f3571c56b4d78cb26c9f88b12f755ad2"),
+        (1, ["--algorithm", "eda", "--function", "blocked-cost", "--p", "0.3"], 0,
+         "7c06ebc70e408389dff6c675e5321a81f3571c56b4d78cb26c9f88b12f755ad2"),
+        (1, ["--algorithm", "embfa", "--function", "expected-cost", "--p", "0.7"], 0,
+         "7c06ebc70e408389dff6c675e5321a81f3571c56b4d78cb26c9f88b12f755ad2"),
+        (4, ["--algorithm", "embfa", "--function", "expected-cost", "--p", "0.7"], 2,
+         "33e8b86a58f6a5aee838707925360c0873aea035ac141c69cca7e9e7a938c0af"),
+    ], ids=["antirisk", "blocked-cost", "expected-cost", "expected-cost-violated"])
+    def test_all_checks_pinned_output(self, tmp_path, capsys, seed, extra, code, digest):
+        # digests of the 12-line stdout, recorded before the checks shared one simple-path census
+        assert main(["gen", "--n", "8", "--m", "20", "--seed", str(seed)]) == 0
+        graph_file = tmp_path / f"g{seed}.g"
+        graph_file.write_text(capsys.readouterr().out)
+        checks = [flag for name in PROPERTY_CHECKS[:8] + ("wisp",) for flag in ("--property", name)]
+        argv = ["verify", "--graph", str(graph_file), "--source", "0", "--against", "oracle"]
+        assert main(argv + extra + checks) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestGen:

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import os
+import subprocess
+import sys
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +19,7 @@ from minpath import (
     PathSystem,
     ShortestPathTree,
     anti_risk,
+    blocked_cost,
     check_no_negative_circles,
     check_property,
     check_wisp,
@@ -20,14 +28,16 @@ from minpath import (
     eda,
     enumerate_paths,
     expected_cost,
+    format_path,
     generate_random,
     oracle_min,
     parity_length,
     parse_graph,
     path_value,
+    serialize_graph,
 )
-from minpath.paths import NDSP, NO_NEGATIVE_CIRCLES, OP, WISP
-from minpath.verify import NO_VIOLATION
+from minpath.paths import INF, INSP, NDSP, NO_NEGATIVE_CIRCLES, OP, OPSP, SOP, SOPSP, WISP, WOP, WOPSP
+from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED
 
 from conftest import brute_simple_paths, random_instances
 
@@ -341,3 +351,210 @@ def test_nan_from_extend_is_rejected_by_the_checkers():
         check_wisp(g, 0, system, func)
     with pytest.raises(ValueError, match=message):
         path_value(func, Path(g, 0, (0, 2)))
+
+
+def counted(func):
+    """``func`` as a new function object whose extend calls are counted in ``calls[0]``."""
+    calls = [0]
+
+    def extend(value, parent, road):
+        calls[0] += 1
+        return func.extend(value, parent, road)
+
+    return dataclasses.replace(func, extend=extend), calls
+
+
+def census_reports(graph, source, func):
+    """repr of the oracle's result and of every check the census serves."""
+    system = PathSystem.simple(source)
+    reports = [oracle_min(graph, source, system, func)]
+    reports += [check_property(graph, source, system, func, prop) for prop in DEF1_PROPERTIES]
+    reports.append(check_wisp(graph, source, system, func))
+    return [repr(report) for report in reports]
+
+
+class TestCensus:
+    """One simple-path walk per instance serves the oracle and every check."""
+
+    def test_one_walk_per_instance(self):
+        g = generate_random(8, 20, 0.0, 10.0, "undirected", 4)
+        func, calls = counted(anti_risk(g))
+        system = PathSystem.simple(0)
+        oracle = oracle_min(g, 0, system, func)
+        for prop in (NDSP, SOP, OP):
+            check_property(g, 0, system, func, prop)
+        check_wisp(g, 0, system, func)
+        assert oracle.enumerated_count == 355
+        assert calls[0] == oracle.enumerated_count - 1
+
+    def test_another_instance_walks_again(self):
+        g = generate_random(8, 20, 0.0, 10.0, "directed", 4)
+        func, calls = counted(classic_distance(g))
+        walk = oracle_min(g, 0, PathSystem.simple(0), func).enumerated_count - 1
+        assert calls[0] == walk
+        # another source
+        other = oracle_min(g, 1, PathSystem.simple(1), func).enumerated_count - 1
+        assert calls[0] == walk + other
+        # another function object, even one that extends alike
+        twin, twin_calls = counted(classic_distance(g))
+        check_wisp(g, 0, PathSystem.simple(0), twin)
+        assert twin_calls[0] == walk
+        # another graph object, even an equal one
+        copy = parse_graph(serialize_graph(g))
+        assert copy == g
+        check_property(copy, 0, PathSystem.simple(0), twin, SOP)
+        assert twin_calls[0] == 2 * walk
+        assert calls[0] == walk + other
+
+    def test_interleaved_instances_report_as_a_fresh_interpreter(self):
+        g = generate_random(8, 20, 0.0, 10.0, "directed", 4)
+        a = expected_cost(g, 0.7)
+        b = blocked_cost(g, 0.3)
+        first = census_reports(g, 0, a)
+        census_reports(g, 0, b)
+        again = census_reports(g, 0, a)
+        script = (
+            "from minpath import expected_cost, generate_random\n"
+            "from test_verify import census_reports\n"
+            "g = generate_random(8, 20, 0.0, 10.0, 'directed', 4)\n"
+            "print(repr(census_reports(g, 0, expected_cost(g, 0.7))))\n"
+        )
+        import minpath
+
+        paths = [os.path.dirname(os.path.dirname(minpath.__file__)), os.path.dirname(__file__)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        fresh = ast.literal_eval(done.stdout)
+        assert any("verdict='violated'" in report for report in fresh)
+        assert first == again == fresh
+
+    def test_oracle_results_are_fresh_copies(self):
+        g = wisp_counterexample_graph()
+        func = classic_distance(g)
+        system = PathSystem.simple(0)
+        result = oracle_min(g, 0, system, func)
+        expected = census_reports(g, 0, func)
+        assert oracle_min(g, 0, system, func) is not result
+        result.minimum.update((v, -1.0) for v in result.minimum)
+        result.witness.clear()
+        result.enumerated_count = 0
+        assert census_reports(g, 0, func) == expected
+
+    def test_a_raising_walk_caches_nothing(self):
+        g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 0 2 1.0\narc 1 2 1.0\n")
+        fail = [True]
+
+        def extend(value, parent, road):
+            return float("nan") if fail[0] and road.key == 2 else value + road.weight
+
+        func = PathFunction("nan-once", 0.0, extend, frozenset({NO_NEGATIVE_CIRCLES}))
+        system = PathSystem.simple(0)
+        with pytest.raises(ValueError, match="NaN"):
+            oracle_min(g, 0, system, func)
+        fail[0] = False
+        assert oracle_min(g, 0, system, func).minimum == {0: 0.0, 1: 1.0, 2: 1.0}
+
+    def test_the_next_walk_releases_the_previous_census(self, diamond):
+        system = PathSystem.simple(0)
+        previous = classic_distance(diamond)
+        oracle_min(diamond, 0, system, previous)
+        released = weakref.ref(previous)
+        del previous
+        seen = []
+
+        def extend(value, parent, road):
+            seen.append(released() is None)
+            return value + road.weight
+
+        oracle_min(diamond, 0, system, PathFunction("next", 0.0, extend, frozenset()))
+        assert seen and all(seen)
+
+    def test_gate_runs_on_every_call(self, diamond):
+        parity = parity_length(diamond)
+        oracle_min(diamond, 0, PathSystem.simple(0), parity)
+        with pytest.raises(ValueError, match="negative circles"):
+            oracle_min(diamond, 0, PathSystem.all_paths(0), parity)
+
+
+def naive_check(graph, func, prop, bound, tol=1e-9):
+    """(verdict, witness, repr(details)) of one property by a direct scan:
+    every simple path re-folded by `path_value`, every son and every
+    extension built and re-folded, every ordered pair compared."""
+    paths = list(enumerate_paths(graph, 0, PathSystem.simple(0), bound))
+    value = {path.roads: path_value(func, path) for path in paths}
+    minimum = {}
+    for path in paths:
+        minimum[path.terminal] = min(minimum.get(path.terminal, INF), value[path.roads])
+
+    def admitted(path, road):
+        return road.head not in path.vertices
+
+    def extended(path, road):
+        return path_value(func, path.extended(road.key))
+
+    def is_minimum(path):
+        f, m = value[path.roads], minimum[path.terminal]
+        return f == m or abs(f - m) <= tol
+
+    for t in sorted(minimum):
+        group = [path for path in paths if path.terminal == t]
+        if prop in (NDSP, INSP):
+            for path in filter(is_minimum, group):
+                for road in graph.out_roads(t):
+                    if admitted(path, road) and extended(path, road) < value[path.roads] - tol:
+                        f, son = value[path.roads], extended(path, road)
+                        witness = f"P={format_path(path)} f={f!r}; son via k{road.key} f={son!r}"
+                        details = {"path": path, "value": f, "road": road, "son_value": son}
+                        return VIOLATED, witness, repr(details)
+            continue
+        for road in graph.out_roads(t):
+            members = [path for path in group if admitted(path, road)]
+            for a in members:
+                if prop in (SOPSP, OPSP, WOPSP) and not is_minimum(a):
+                    continue
+                for b in members:
+                    if a == b:
+                        continue
+                    fa, fb = value[a.roads], value[b.roads]
+                    ea, eb = extended(a, road), extended(b, road)
+                    hypothesis = fa < fb if prop in (WOP, WOPSP, OP, OPSP) else fa <= fb
+                    if hypothesis and ea > eb + tol:
+                        witness = (
+                            f"P={format_path(a)} f={fa!r}; P'={format_path(b)} f={fb!r}; "
+                            f"road k{road.key}: f(P+r)={ea!r} > f(P'+r)={eb!r}"
+                        )
+                    elif prop in (OP, OPSP) and fa == fb and abs(ea - eb) > tol:
+                        witness = (
+                            f"P={format_path(a)} = P'={format_path(b)} = {fa!r}; "
+                            f"road k{road.key}: f(P+r)={ea!r} != f(P'+r)={eb!r}"
+                        )
+                    else:
+                        continue
+                    details = {"path": a, "other": b, "road": road, "values": (fa, fb), "extended": (ea, eb)}
+                    return VIOLATED, witness, repr(details)
+    return NO_VIOLATION, None, repr(None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    high=st.sampled_from([10.0, 2.0]),
+    kind=st.sampled_from(["classic", "antirisk", "expected-cost", "parity"]),
+    longer=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_census_checks_match_a_naive_scan(n, data, mode, high, kind, longer, seed):
+    g = generate_random(n, data.draw(st.integers(n, 2 * n)), 0.0, high, mode, seed)
+    builders = {
+        "classic": classic_distance,
+        "antirisk": anti_risk,
+        "expected-cost": lambda g: expected_cost(g, 0.7),
+        "parity": parity_length,
+    }
+    func = builders[kind](g)
+    max_roads = n + 1 if longer else None
+    for prop in DEF1_PROPERTIES:
+        report = check_property(g, 0, PathSystem.simple(0), func, prop, max_roads=max_roads)
+        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, n - 1)
