@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minpath
 from minpath import (
     Path,
     PathFunction,
@@ -419,8 +420,6 @@ class TestCensus:
             "g = generate_random(8, 20, 0.0, 10.0, 'directed', 4)\n"
             "print(repr(census_reports(g, 0, expected_cost(g, 0.7))))\n"
         )
-        import minpath
-
         paths = [os.path.dirname(os.path.dirname(minpath.__file__)), os.path.dirname(__file__)]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
