@@ -17,6 +17,7 @@ from .paths import (
     NDSP,
     NO_NEGATIVE_CIRCLES,
     OP,
+    SIMPLE,
     SOPSP,
     WISP,
     ZERO_COST,
@@ -261,6 +262,7 @@ def embfa(
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     value: dict[int, float] = {source: func.base}
     children: dict[int, list[int]] = {}  # tree children of each covered vertex
+    simple = system.kind == SIMPLE  # the system vetoes a head on the tail's tree path
 
     active = [source]
     scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
@@ -273,14 +275,15 @@ def embfa(
                 continue  # detached with an ancestor's subtree, or unchanged since its last scan
             scanned[u] = path_u
             value_u = value[u]
+            on_path = set(path_u.vertices)  # local, so the returned tree holds no vertex sets
             for road in graph.out_roads(u):
                 v = road.head
-                if not system.admits_extension(path_u, v):
+                if simple and v in on_path:
                     continue
                 candidate = func.apply(value_u, path_u, road)
                 stats.extend_calls += 1
                 if candidate < value.get(v, INF) or (v not in paths and candidate == INF):
-                    if v in path_u.vertex_set:
+                    if v in on_path:
                         raise NegativeCircleError(
                             f"road {road.key} from vertex {u} lowers vertex {v}, which lies on {u}'s tree path; "
                             "the path function has a negative circle on this input"
@@ -321,11 +324,24 @@ def format_tree(tree: ShortestPathTree, stats: RunStats) -> str:
     """Text form: one line per covered vertex in id order, plus a stats line.
 
     ``<v> value=<f-value or inf> path=<serialized path>``; trees without
-    values (from `sta`) print ``value=-``.
+    values (from `sta`) print ``value=-``. Each path's text is its parent
+    vertex's text plus one road, so ``tree.paths`` is read parents-first, the
+    order every solver builds it in. A path whose parent vertex comes later
+    in ``tree.paths``, or holds another path than this one's one-road
+    prefix, as a hand-built tree may, is serialized whole by `format_path`;
+    the text is the same either way.
     """
-    lines = []
-    for v in sorted(tree.covered):
-        val = repr(tree.value[v]) if v in tree.value else "-"
-        lines.append(f"{v} value={val} path={format_path(tree.path_to(v))}")
+    paths, value = tree.paths, tree.value
+    text: dict[int, str] = {}
+    for v, path in paths.items():
+        roads = path.roads
+        if roads:
+            u = path.vertices[-2]
+            prefix = text.get(u)
+            if prefix is not None and paths[u].roads == roads[:-1]:
+                text[v] = f"{prefix} -> {path.vertices[-1]}[k{roads[-1]}]"
+                continue
+        text[v] = format_path(path)
+    lines = [f"{v} value={repr(value[v]) if v in value else '-'} path={text[v]}" for v in sorted(paths)]
     lines.append(stats.format())
     return "\n".join(lines) + "\n"

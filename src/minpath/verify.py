@@ -34,6 +34,7 @@ from .paths import (
     NO_NONPOSITIVE_CIRCLES,
     OP,
     OPSP,
+    SIMPLE,
     SOP,
     SOPSP,
     WOP,
@@ -109,7 +110,7 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
     return (path for path, _, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
 
 
-_Member = tuple[Path, float, dict[int, float]]
+_Member = tuple[Path, float, dict[int, float] | None]
 
 
 def _walk_values(
@@ -118,39 +119,51 @@ def _walk_values(
     system: PathSystem,
     func: PathFunction,
     max_roads: int,
+    keep_sons: bool = False,
 ) -> Iterator[_Member]:
     """(member, value, sons) triples in `enumerate_paths` order.
 
-    Each value is one checked extension of its parent's, and the walk also
-    records it in the parent's ``sons`` under the road's key. So once the
-    walk has left a member, its ``sons`` holds the value of every admitted
-    son within the bound (none for a member of ``max_roads`` roads).
+    Each value is one checked extension of its parent's. With ``keep_sons``
+    the walk also records it in the parent's ``sons`` under the road's key,
+    so once the walk has left a member, its ``sons`` holds the value of
+    every admitted son within the bound (none for a member of ``max_roads``
+    roads); without it ``sons`` is None.
     """
     if max_roads < 0:
         raise ValueError("max_roads must be nonnegative")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
+    simple = system.kind == SIMPLE
 
     def walk() -> Iterator[_Member]:
         root = Path(graph, source)
-        sons: dict[int, float] = {}
+        sons = {} if keep_sons else None
         yield root, func.base, sons
         # one entry per path on the current branch: its value, its sons and
         # its remaining roads, so each yield costs O(1) whatever the depth
         stack = [(root, func.base, sons, iter(graph.out_roads(source)))] if max_roads else []
+        on_branch = {source}  # on a simple system: the vertices of the path atop the stack
         while stack:
             path, value, sons, roads = stack[-1]
             for road in roads:
-                if system.admits_extension(path, road.head):
-                    child = path.extended(road.key)
-                    child_value = sons[road.key] = func.apply(value, path, road)
-                    child_sons: dict[int, float] = {}
-                    yield child, child_value, child_sons
-                    if len(child.roads) < max_roads:
-                        stack.append((child, child_value, child_sons, iter(graph.out_roads(road.head))))
-                    break
+                head = road.head
+                if simple and head in on_branch:
+                    continue
+                child = path.extended(road.key)
+                child_value = func.apply(value, path, road)
+                if sons is not None:
+                    sons[road.key] = child_value
+                child_sons = {} if keep_sons else None
+                yield child, child_value, child_sons
+                if len(child.roads) < max_roads:
+                    stack.append((child, child_value, child_sons, iter(graph.out_roads(head))))
+                    if simple:
+                        on_branch.add(head)
+                break
             else:
                 stack.pop()
+                if simple:
+                    on_branch.discard(path.terminal)
 
     return walk()
 
@@ -230,7 +243,7 @@ def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -
     if census is not None:
         return census
     _last_census = (None, None, None, None)
-    walk = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1))
+    walk = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1, keep_sons=True))
     groups = _group(walk)
     best = {t: min(group, key=itemgetter(1)) for t, group in groups.items()}  # ties keep the first
     census = _Census(

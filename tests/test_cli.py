@@ -78,6 +78,21 @@ class TestSolve:
         assert main(["solve", "--graph", str(graph_file), "--source", "0"] + extra) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("algorithm, digest", [
+        ("eda", "7b62abc149e25211cb27f2c19d7287a17febc3fe111f2304da8cc14a864a6800"),
+        ("embfa", "10162f30a4143d1a33c9547ccb8c8c1bffb96b12f5a2fd03a270ef187dc6ac0b"),
+        ("sta", "b8594b465b05dce8f454887866d93089ebd609105b2b722cee42f56a3088fc07"),
+    ])
+    def test_deep_trees_pinned_output(self, tmp_path, capsys, algorithm, digest):
+        # digests of the 301-line stdout, recorded before format_tree built each
+        # path's text from its parent's; the trees run 12 (eda, embfa) and 28
+        # (sta) roads deep, and sta covers every vertex of this undirected graph
+        assert main(["gen", "--n", "300", "--m", "900", "--seed", "3", "--mode", "undirected"]) == 0
+        graph_file = tmp_path / "u3.g"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["solve", "--graph", str(graph_file), "--source", "0", "--algorithm", algorithm]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_sta_prints_structural_tree(self, diamond_file, capsys):
         code = main(["solve", "--graph", diamond_file, "--source", "0", "--algorithm", "sta"])
         out = capsys.readouterr().out

@@ -18,6 +18,7 @@ from minpath import (
     PathFunction,
     PathSystem,
     PropertyRefusalError,
+    ShortestPathTree,
     Road,
     RunStats,
     UnreachableVertexError,
@@ -32,6 +33,7 @@ from minpath import (
     eda,
     embfa,
     expected_cost,
+    format_path,
     format_tree,
     generate_random,
     max_degree,
@@ -402,6 +404,15 @@ def test_embfa_certificate_reads_the_returned_tree(mode):
                 assert tree.exact == (count == 0)
 
 
+def test_embfa_tree_paths_hold_no_vertex_sets():
+    # the simple system's veto reads a set built per scanned tail, which the
+    # returned tree does not keep
+    for _, g in random_instances(20, (3, 12), seed_base=3000, mode="undirected"):
+        for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+            tree, _ = embfa(g, 0, system, classic_distance(g))
+            assert all(path._vertex_set is None for path in tree.paths.values())
+
+
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_order_lists_the_paths_from_the_source(mode):
     # eda and sta list vertices in discovery order (for eda, by value),
@@ -523,6 +534,53 @@ class TestFormatTree:
         assert format_tree(tree, RunStats(rounds=1)) == (
             "0 value=- path=s=0\n1 value=- path=s=0 -> 1[k0]\n# extend_calls=0 relaxations=0 rounds=1\n"
         )
+
+    @pytest.mark.parametrize("listed", [
+        [(0, ()), (3, (0, 6)), (1, (0,)), (2, (2,))],  # 3 comes before its parent 1
+        [(0, ()), (1, (0,)), (2, (0, 4)), (3, (2, 8))],  # 3's prefix s -> 2 is not 2's path
+    ], ids=["not-parents-first", "not-prefix-closed"])
+    def test_hand_built_trees_format_whole_paths(self, diamond, listed):
+        tree = ShortestPathTree(0, {v: Path(diamond, 0, roads) for v, roads in listed}, {})
+        expected = "".join(f"{v} value=- path={format_path(tree.paths[v])}\n" for v in range(4))
+        assert format_tree(tree, RunStats()) == expected + "# extend_calls=0 relaxations=0 rounds=0\n"
+
+
+def per_vertex_format(tree, stats):
+    """`format_tree`'s text with every path serialized whole by `format_path`."""
+    lines = [
+        f"{v} value={repr(tree.value[v]) if v in tree.value else '-'} path={format_path(tree.path_to(v))}"
+        for v in sorted(tree.covered)
+    ]
+    return "\n".join(lines + [stats.format()]) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    seed=st.integers(0, 10_000),
+)
+def test_format_tree_matches_whole_path_text(n, data, mode, seed):
+    g = generate_random(n, data.draw(st.integers(0, 3 * n)), 0.0, 10.0, mode, seed)
+    # a ring through every vertex, so sta covers them all and its trees run deep
+    g = Graph(g.vertices, list(g.roads) + [Road(g.m + v, v, (v + 1) % g.n, 1.0) for v in range(g.n)])
+    system = PathSystem.simple(0)
+    func = classic_distance(g)
+    trees = [eda(g, 0, system, func), embfa(g, 0, system, func), embfa(g, 0, PathSystem.all_paths(0), func)]
+    trees.append(embfa(g, 0, system, expected_cost(g, 0.7)))
+    trees.append((sta(g, 0), RunStats(rounds=g.n - 1)))
+    for tree, stats in trees:
+        assert format_tree(tree, stats) == per_vertex_format(tree, stats)
+        # the same paths in an order that need not be parents-first
+        order = data.draw(st.permutations(sorted(tree.paths)))
+        shuffled = ShortestPathTree(0, {v: tree.paths[v] for v in order}, tree.value)
+        assert format_tree(shuffled, stats) == per_vertex_format(tree, stats)
+    # expected-cost minima need not be weakly inherited, so a witness's prefix
+    # may differ from the witness of its last-but-one vertex
+    oracle = oracle_min(g, 0, system, expected_cost(g, 0.7))
+    witnesses = ShortestPathTree(0, oracle.witness, oracle.minimum)
+    assert format_tree(witnesses, RunStats()) == per_vertex_format(witnesses, RunStats())
 
 
 def test_nan_from_extend_is_rejected():
