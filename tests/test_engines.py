@@ -18,9 +18,9 @@ from minpath import (
     PathFunction,
     PathSystem,
     PropertyRefusalError,
-    ShortestPathTree,
     Road,
     RunStats,
+    ShortestPathTree,
     UnreachableVertexError,
     Vertex,
     anti_risk,
