@@ -17,7 +17,6 @@ from .paths import (
     NDSP,
     NO_NEGATIVE_CIRCLES,
     OP,
-    SIMPLE,
     SOPSP,
     WISP,
     ZERO_COST,
@@ -262,7 +261,6 @@ def embfa(
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     value: dict[int, float] = {source: func.base}
     children: dict[int, list[int]] = {}  # tree children of each covered vertex
-    simple = system.kind == SIMPLE  # the system vetoes a head on the tail's tree path
 
     active = [source]
     scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
@@ -275,10 +273,10 @@ def embfa(
                 continue  # detached with an ancestor's subtree, or unchanged since its last scan
             scanned[u] = path_u
             value_u = value[u]
-            on_path = set(path_u.vertices)  # local, so the returned tree holds no vertex sets
+            on_path = set(path_u.vertices)  # one set per scanned tail, so each road tests in O(1)
             for road in graph.out_roads(u):
                 v = road.head
-                if simple and v in on_path:
+                if not system.admits(v, on_path):
                     continue
                 candidate = func.apply(value_u, path_u, road)
                 stats.extend_calls += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Container
 
 from .graphs import Graph, Road, _dijkstra, _single_source
 
@@ -72,7 +72,7 @@ class Path:
     Instances are immutable; ``extended`` returns a new path.
     """
 
-    __slots__ = ("graph", "source", "roads", "vertices", "_vertex_set")
+    __slots__ = ("graph", "source", "roads", "vertices")
 
     def __init__(self, graph: Graph, source: int, roads: tuple[int, ...] | list[int] = ()):
         if not 0 <= source < graph.n:
@@ -90,7 +90,6 @@ class Path:
         self.source = source
         self.roads = roads
         self.vertices = tuple(vertices)
-        self._vertex_set: frozenset[int] | None = None
 
     @classmethod
     def _make(cls, graph: Graph, source: int, roads: tuple[int, ...], vertices: tuple[int, ...]) -> "Path":
@@ -99,7 +98,6 @@ class Path:
         path.source = source
         path.roads = roads
         path.vertices = vertices
-        path._vertex_set = None
         return path
 
     @property
@@ -107,15 +105,9 @@ class Path:
         return self.vertices[-1]
 
     @property
-    def vertex_set(self) -> frozenset[int]:
-        if self._vertex_set is None:
-            self._vertex_set = frozenset(self.vertices)
-        return self._vertex_set
-
-    @property
     def is_simple(self) -> bool:
         """True when no vertex repeats (a path "without circles")."""
-        return len(self.vertex_set) == len(self.vertices)
+        return len(set(self.vertices)) == len(self.vertices)
 
     def extended(self, key: int) -> "Path":
         road = self.graph.road(key)
@@ -180,12 +172,13 @@ class PathSystem:
             return False
         return self.kind == ALL or path.is_simple
 
-    def admits_extension(self, parent: Path, head: int) -> bool:
-        """Membership of ``parent`` extended by one road into ``head``.
+    def admits(self, head: int, on_path: Container[int]) -> bool:
+        """Membership of a member path extended by one road into ``head``.
 
-        Assumes ``parent`` is itself a member; avoids building the child.
+        ``on_path`` holds the member's vertices; the caller keeps it (a set
+        for a path it scans many roads out of), so no path caches one.
         """
-        return self.kind != SIMPLE or head not in parent.vertex_set
+        return self.kind != SIMPLE or head not in on_path
 
 
 @dataclass(frozen=True)

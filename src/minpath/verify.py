@@ -34,7 +34,6 @@ from .paths import (
     NO_NONPOSITIVE_CIRCLES,
     OP,
     OPSP,
-    SIMPLE,
     SOP,
     SOPSP,
     WOP,
@@ -133,7 +132,6 @@ def _walk_values(
         raise ValueError("max_roads must be nonnegative")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
-    simple = system.kind == SIMPLE
 
     def walk() -> Iterator[_Member]:
         root = Path(graph, source)
@@ -142,12 +140,10 @@ def _walk_values(
         # one entry per path on the current branch: its value, its sons and
         # its remaining roads, so each yield costs O(1) whatever the depth
         stack = [(root, func.base, sons, iter(graph.out_roads(source)))] if max_roads else []
-        on_branch = {source}  # on a simple system: the vertices of the path atop the stack
         while stack:
             path, value, sons, roads = stack[-1]
             for road in roads:
-                head = road.head
-                if simple and head in on_branch:
+                if not system.admits(road.head, path.vertices):
                     continue
                 child = path.extended(road.key)
                 child_value = func.apply(value, path, road)
@@ -156,14 +152,10 @@ def _walk_values(
                 child_sons = {} if keep_sons else None
                 yield child, child_value, child_sons
                 if len(child.roads) < max_roads:
-                    stack.append((child, child_value, child_sons, iter(graph.out_roads(head))))
-                    if simple:
-                        on_branch.add(head)
+                    stack.append((child, child_value, child_sons, iter(graph.out_roads(road.head))))
                 break
             else:
                 stack.pop()
-                if simple:
-                    on_branch.discard(path.terminal)
 
     return walk()
 
@@ -182,7 +174,7 @@ class _FreshSons:
         self.value = value
 
     def __contains__(self, key: int) -> bool:
-        return self.system.admits_extension(self.path, self.graph.road(key).head)
+        return self.system.admits(self.graph.road(key).head, self.path.vertices)
 
     def __getitem__(self, key: int) -> float:
         return self.func.apply(self.value, self.path, self.graph.road(key))

@@ -404,15 +404,6 @@ def test_embfa_certificate_reads_the_returned_tree(mode):
                 assert tree.exact == (count == 0)
 
 
-def test_embfa_tree_paths_hold_no_vertex_sets():
-    # the simple system's veto reads a set built per scanned tail, which the
-    # returned tree does not keep
-    for _, g in random_instances(20, (3, 12), seed_base=3000, mode="undirected"):
-        for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
-            tree, _ = embfa(g, 0, system, classic_distance(g))
-            assert all(path._vertex_set is None for path in tree.paths.values())
-
-
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_order_lists_the_paths_from_the_source(mode):
     # eda and sta list vertices in discovery order (for eda, by value),

@@ -25,6 +25,7 @@ from minpath import (
     check_wisp,
     classic_distance,
     dijkstra_classic,
+    enumerate_paths,
     expected_cost,
     format_path,
     generate_random,
@@ -105,6 +106,19 @@ class TestMembership:
 
     def test_source_mismatch(self, diamond):
         assert not PathSystem.simple(1).contains(Path(diamond, 0))
+
+    def test_admits_agrees_with_contains(self):
+        # admits decides a member's one-road extension from the member's
+        # vertices, without building the extension
+        for _, g in random_instances(10, (3, 6), seed_base=500):
+            for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+                for path in enumerate_paths(g, 0, PathSystem.all_paths(0), 3):
+                    if not system.contains(path):
+                        continue
+                    for road in g.out_roads(path.terminal):
+                        expected = system.contains(path.extended(road.key))
+                        assert system.admits(road.head, path.vertices) == expected
+                        assert system.admits(road.head, set(path.vertices)) == expected
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown path system kind"):

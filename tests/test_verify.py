@@ -453,17 +453,15 @@ class TestCensus:
         fail[0] = False
         assert oracle_min(g, 0, system, func).minimum == {0: 0.0, 1: 1.0, 2: 1.0}
 
-    def test_walks_keep_no_vertex_sets_and_sons_only_for_the_census(self):
-        # the walker tracks its branch's vertices itself, so no walked path
-        # caches its own; only the census records sons
+    def test_walks_keep_sons_only_for_the_census(self):
         g = generate_random(8, 20, 0.0, 10.0, "undirected", 4)
         func = anti_risk(g)
         census_reports(g, 0, func)
         census = minpath.verify._last_census[3]
-        assert census.walk and all(path._vertex_set is None and sons is not None for path, _, sons in census.walk)
+        assert census.walk and all(sons is not None for _, _, sons in census.walk)
         for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
             walk = list(_walk_values(g, 0, system, func, 4))
-            assert walk and all(path._vertex_set is None and sons is None for path, _, sons in walk)
+            assert walk and all(sons is None for _, _, sons in walk)
 
     def test_the_next_walk_releases_the_previous_census(self, diamond):
         system = PathSystem.simple(0)
