@@ -64,11 +64,12 @@ def _weights(text: str) -> tuple[float, float]:
 def _seed_range(text: str) -> range:
     lo, sep, hi = text.partition(":")
     try:
-        if sep:
-            return range(int(lo), int(hi))
-        return range(int(text), int(text) + 1)
+        seeds = range(int(lo), int(hi)) if sep else range(int(text), int(text) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError("expected an integer seed or LO:HI") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("expected LO:HI with HI > LO")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -280,7 +280,7 @@ def embfa(
                     continue
                 candidate = func.apply(value_u, path_u, road)
                 stats.extend_calls += 1
-                if candidate < value.get(v, INF) or (v not in paths and candidate == INF):
+                if v not in paths or candidate < value[v]:
                     if v in on_path:
                         raise NegativeCircleError(
                             f"road {road.key} from vertex {u} lowers vertex {v}, which lies on {u}'s tree path; "

@@ -294,17 +294,23 @@ class DetourTable:
       No road out of the subtree lowers a vertex outside it, because its
       label is at least ``base[x] + w``, which is at least the head's base
       distance. The row is cached under ``(deleted, origin)`` and answers
-      every target. The in-road lists it seeds from are built once per
-      table.
+      every target. The in-road lists it seeds from are built with the
+      table; the origin's child lists, which find the subtree, are built
+      with its first subtree row and kept beside its base row.
     - The deleted road is a parent road and the origin is its tail, as
       blocked-cost and expected-cost ask. Such a row would serve one
       query, so the search skips the road and stops once ``target`` is
       settled. A caller that asks for many targets of one such road pays
       one search per target.
 
-    Every answer is also cached under the whole key. A graph with a
-    negative road is rejected: every built-in function that reads a table
-    requires nonnegative weights.
+    Every answer is also cached under the whole key, so a repeated query
+    is one lookup and a first-time query one failed lookup before its
+    route. An origin asked only about roads out of itself, as by
+    blocked-cost and expected-cost, takes the first or the third route and
+    never builds child lists. Anti-risk, blocked-cost and expected-cost
+    reject a table built for another graph. A graph with a negative road
+    is rejected: every built-in function that reads a table requires
+    nonnegative weights.
 
     Entries fill on demand and are never invalidated (the graph is
     immutable). Concurrent fills race benignly: every writer computes
@@ -314,19 +320,19 @@ class DetourTable:
     def __init__(self, graph: Graph):
         _require_nonnegative(graph, "DetourTable")
         self.graph = graph
-        self._trees: dict[int, tuple[list[float], list[Road | None]]] = {}
-        self._children: dict[int, list[list[int]]] = {}
-        self._into: list[list[Road]] | None = None
+        self._into: list[list[Road]] = [[] for _ in range(graph.n)]
+        for r in graph.roads:
+            self._into[r.head].append(r)
+        # origin -> [base row, parent roads, child lists (None until its first subtree row)]
+        self._trees: dict[int, list] = {}
         self._rows: dict[tuple[int, int], list[float]] = {}
         self._entries: dict[tuple[int, int, int], float] = {}
 
     def distance(self, deleted: int, origin: int, target: int) -> float:
         key = (deleted, origin, target)
-        try:
-            return self._entries[key]
-        except KeyError:
-            pass
-        value = self._entries[key] = self._fill(deleted, origin, target)
+        value = self._entries.get(key)
+        if value is None:
+            value = self._entries[key] = self._fill(deleted, origin, target)
         return value
 
     def _fill(self, deleted: int, origin: int, target: int) -> float:
@@ -338,33 +344,25 @@ class DetourTable:
         if tree is None:
             if not 0 <= origin < n:
                 raise ValueError(f"source {origin} out of range")
-            tree = self._trees[origin] = _single_source(self.graph, origin)
-        base, parent = tree
+            tree = self._trees[origin] = [*_single_source(self.graph, origin), None]
+        base, parent, children = tree
         if parent[road.head] is not road:
             return base[target]
         if origin == road.tail:
             return _single_source(self.graph, origin, deleted, target)[0][target]
         row = self._rows.get((deleted, origin))
         if row is None:
-            row = self._rows[deleted, origin] = self._subtree_row(origin, road)
+            if children is None:
+                children = [[] for _ in base]
+                for v, r in enumerate(parent):
+                    if r is not None:
+                        children[r.tail].append(v)
+                tree[2] = children
+            row = self._rows[deleted, origin] = self._subtree_row(base, children, road)
         return row[target]
 
-    def _subtree_row(self, origin: int, road: Road) -> list[float]:
-        """Distances from ``origin`` without tree road ``road``: see the class docstring."""
-        base, parent = self._trees[origin]
-        children = self._children.get(origin)
-        if children is None:
-            children = [[] for _ in base]
-            for v, r in enumerate(parent):
-                if r is not None:
-                    children[r.tail].append(v)
-            self._children[origin] = children
-        into = self._into
-        if into is None:
-            into = [[] for _ in base]
-            for r in self.graph.roads:
-                into[r.head].append(r)
-            self._into = into
+    def _subtree_row(self, base: list[float], children: list[list[int]], road: Road) -> list[float]:
+        """Distances from ``base``'s origin without tree road ``road``: see the class docstring."""
         subtree = [road.head]
         for v in subtree:
             subtree.extend(children[v])
@@ -374,7 +372,7 @@ class DetourTable:
         heap = []
         for v in subtree:
             # the reset entries read as inf, so roads from inside the subtree seed nothing
-            label = min([row[r.tail] + r.weight for r in into[v] if r is not road], default=INF)
+            label = min([row[r.tail] + r.weight for r in self._into[v] if r is not road], default=INF)
             if label < INF:
                 heap.append((label, v))
         for label, v in heap:
@@ -388,6 +386,14 @@ def _require_nonnegative(graph: Graph, name: str) -> None:
     for r in graph.roads:
         if r.weight < 0:
             raise ValueError(f"{name} requires nonnegative weights")
+
+
+def _own_table(graph: Graph, table: DetourTable | None) -> DetourTable:
+    if table is None:
+        return DetourTable(graph)
+    if table.graph != graph:
+        raise ValueError("the detour table was built for another graph")
+    return table
 
 
 def _require_probability(p: float) -> None:
@@ -426,7 +432,7 @@ def anti_risk(graph: Graph, table: DetourTable | None = None) -> PathFunction:
     combination.
     """
     _require_nonnegative(graph, "anti-risk")
-    table = table if table is not None else DetourTable(graph)
+    table = _own_table(graph, table)
 
     def extend(value: float, parent: Path, road: Road) -> float:
         blocked = table.distance(road.key, parent.source, road.head)
@@ -445,7 +451,7 @@ def blocked_cost(graph: Graph, p: float, table: DetourTable | None = None) -> Pa
     """
     _require_probability(p)
     _require_nonnegative(graph, "blocked-cost")
-    table = table if table is not None else DetourTable(graph)
+    table = _own_table(graph, table)
 
     def extend(value: float, parent: Path, road: Road) -> float:
         detour = table.distance(road.key, road.tail, road.head)
@@ -464,7 +470,7 @@ def expected_cost(graph: Graph, p: float, table: DetourTable | None = None) -> P
     """
     _require_probability(p)
     _require_nonnegative(graph, "expected-cost")
-    table = table if table is not None else DetourTable(graph)
+    table = _own_table(graph, table)
 
     def extend(value: float, parent: Path, road: Road) -> float:
         detour = table.distance(road.key, road.tail, road.head)

@@ -320,6 +320,7 @@ class TestUsageErrors:
         assert f"argument --weights: {message}\n" in capsys.readouterr().err
 
     def test_bad_seed_range(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["bench", "--n", "4", "--m", "4", "--seed", "x:y"])
-        assert info.value.code == 1
+        for seeds in ("x:y", "5:3", "3:3"):
+            with pytest.raises(SystemExit) as info:
+                main(["bench", "--n", "4", "--m", "4", "--seed", seeds])
+            assert info.value.code == 1

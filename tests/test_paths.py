@@ -25,9 +25,12 @@ from minpath import (
     check_wisp,
     classic_distance,
     dijkstra_classic,
+    eda,
+    embfa,
     enumerate_paths,
     expected_cost,
     format_path,
+    format_tree,
     generate_random,
     implied_properties,
     parse_graph,
@@ -320,6 +323,19 @@ class TestDetourTable:
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 2 -1.0\narc 0 2 3.0\n")
         with pytest.raises(ValueError, match="DetourTable requires nonnegative weights"):
             DetourTable(g)
+
+    @pytest.mark.parametrize("make, solver", [
+        (lambda g, table: anti_risk(g, table), eda),
+        (lambda g, table: blocked_cost(g, 0.5, table), eda),
+        (lambda g, table: expected_cost(g, 0.7, table), embfa),
+    ], ids=["antirisk", "blocked-cost", "expected-cost"])
+    def test_function_rejects_a_table_of_another_graph(self, make, solver):
+        g, other = (generate_random(6, 14, 0.0, 10.0, "directed", seed) for seed in (4, 5))
+        with pytest.raises(ValueError, match="^the detour table was built for another graph$"):
+            make(g, DetourTable(other))
+        system = PathSystem.simple(0)
+        own = format_tree(*solver(g, 0, system, make(g, DetourTable(g))))
+        assert own == format_tree(*solver(g, 0, system, make(g, None)))
 
 
 def direct_risk(graph, path, detour_from_source):
