@@ -357,7 +357,7 @@ class DetourTable:
                 for v, r in enumerate(parent):
                     if r is not None:
                         children[r.tail].append(v)
-                tree[2] = children
+                tree[2] = children  # published whole, so a concurrent fill never reads a partial list
             row = self._rows[deleted, origin] = self._subtree_row(base, children, road)
         return row[target]
 
