@@ -286,31 +286,32 @@ class DetourTable:
     - The deleted road is not its head's parent road. Every tree path
       survives the deletion, so the answer is read from the base row. This
       holds for a tight road tied with the tree road too.
-    - The deleted road u->v is v's parent road and the origin is not u.
-      Only v's subtree loses its tree paths. One search builds the whole
-      row: the base row with the subtree's entries reset, each subtree
-      vertex seeded with the best ``base[y] + w`` over the other roads y->x
-      entering it from outside, and the heap loop run from those seeds.
-      No road out of the subtree lowers a vertex outside it, because its
-      label is at least ``base[x] + w``, which is at least the head's base
-      distance. The row is cached under ``(deleted, origin)`` and answers
-      every target. The in-road lists it seeds from are built with the
-      table; the origin's child lists, which find the subtree, are built
-      with its first subtree row and kept beside its base row.
+    - The deleted road u->v is v's parent road and the origin is not u, as
+      anti-risk asks. Only v's subtree loses its tree paths. One search
+      starts from a copy of the base row with the subtree's entries reset,
+      seeds each subtree vertex with the best ``base[y] + w`` over the
+      other roads y->x entering it from outside, and runs the heap loop
+      from those seeds until ``target`` is settled. No road out of the
+      subtree lowers a vertex outside it, because its label is at least
+      ``base[x] + w``, which is at least the head's base distance. The
+      in-road lists it seeds from are built with the table; the origin's
+      child lists, which find the subtree, are built with its first
+      subtree search and kept beside its base row.
     - The deleted road is a parent road and the origin is its tail, as
-      blocked-cost and expected-cost ask. Such a row would serve one
-      query, so the search skips the road and stops once ``target`` is
-      settled. A caller that asks for many targets of one such road pays
-      one search per target.
+      blocked-cost and expected-cost ask. The search runs from the origin
+      alone, skips the road and stops once ``target`` is settled.
 
-    Every answer is also cached under the whole key, so a repeated query
-    is one lookup and a first-time query one failed lookup before its
-    route. An origin asked only about roads out of itself, as by
-    blocked-cost and expected-cost, takes the first or the third route and
-    never builds child lists. Anti-risk, blocked-cost and expected-cost
-    reject a table built for another graph. A graph with a negative road
-    is rejected: every built-in function that reads a table requires
-    nonnegative weights.
+    Every answer is cached under its whole key, so a repeated query is one
+    lookup and a first-time query one failed lookup before its route. A
+    first-time query by either tree-road route runs one search, so a
+    caller that wants every target of one deleted road should run
+    ``dijkstra_classic(remove_road(graph, deleted), origin)`` instead. An
+    origin asked only about roads out of itself, as by blocked-cost and
+    expected-cost, takes the first or the third route and never builds
+    child lists. Anti-risk, blocked-cost and expected-cost reject a table
+    built for another graph. A graph with a negative road is rejected:
+    every built-in function that reads a table requires nonnegative
+    weights.
 
     Entries fill on demand and are never invalidated (the graph is
     immutable). Concurrent fills race benignly: every writer computes
@@ -323,9 +324,8 @@ class DetourTable:
         self._into: list[list[Road]] = [[] for _ in range(graph.n)]
         for r in graph.roads:
             self._into[r.head].append(r)
-        # origin -> [base row, parent roads, child lists (None until its first subtree row)]
+        # origin -> [base row, parent roads, child lists (None until its first subtree search)]
         self._trees: dict[int, list] = {}
-        self._rows: dict[tuple[int, int], list[float]] = {}
         self._entries: dict[tuple[int, int, int], float] = {}
 
     def distance(self, deleted: int, origin: int, target: int) -> float:
@@ -350,19 +350,16 @@ class DetourTable:
             return base[target]
         if origin == road.tail:
             return _single_source(self.graph, origin, deleted, target)[0][target]
-        row = self._rows.get((deleted, origin))
-        if row is None:
-            if children is None:
-                children = [[] for _ in base]
-                for v, r in enumerate(parent):
-                    if r is not None:
-                        children[r.tail].append(v)
-                tree[2] = children  # published whole, so a concurrent fill never reads a partial list
-            row = self._rows[deleted, origin] = self._subtree_row(base, children, road)
-        return row[target]
+        if children is None:
+            children = [[] for _ in base]
+            for v, r in enumerate(parent):
+                if r is not None:
+                    children[r.tail].append(v)
+            tree[2] = children  # published whole, so a concurrent fill never reads a partial list
+        return self._subtree_search(base, children, road, target)
 
-    def _subtree_row(self, base: list[float], children: list[list[int]], road: Road) -> list[float]:
-        """Distances from ``base``'s origin without tree road ``road``: see the class docstring."""
+    def _subtree_search(self, base: list[float], children: list[list[int]], road: Road, target: int) -> float:
+        """Distance to ``target`` from ``base``'s origin without tree road ``road``: see the class docstring."""
         subtree = [road.head]
         for v in subtree:
             subtree.extend(children[v])
@@ -378,8 +375,8 @@ class DetourTable:
         for label, v in heap:
             row[v] = label
         heapq.heapify(heap)
-        _dijkstra(self.graph, row, heap)
-        return row
+        _dijkstra(self.graph, row, heap, target=target)
+        return row[target]
 
 
 def _require_nonnegative(graph: Graph, name: str) -> None:

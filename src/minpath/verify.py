@@ -11,7 +11,8 @@ The oracle's walk is kept as a census of its instance (see `_oracle`):
 `oracle_min`, `check_wisp` and `check_property` on the simple system read
 it, so checking one instance walks its simple paths once.
 
-Value comparisons use an absolute tolerance (default 1e-9). Conclusions of
+Value comparisons use an absolute tolerance (default 1e-9), which must be
+finite and nonnegative; 0.0 compares exactly. Conclusions of
 strict clauses are flagged only when clearly beyond tolerance; within
 tolerance the strict variants are indistinguishable from their weak forms.
 The one exception is the strict circle check, where an exact tie is a
@@ -70,6 +71,11 @@ _MINIMUM_HYPOTHESIS = {NDSP, INSP, SOPSP, OPSP, WOPSP}
 
 def _close(a: float, b: float, tol: float) -> bool:
     return a == b or abs(a - b) <= tol
+
+
+def _require_tolerance(tol: float) -> None:
+    if not 0.0 <= tol < INF:
+        raise ValueError(f"tolerance must be finite and nonnegative, not {tol!r}")
 
 
 @dataclass
@@ -206,15 +212,6 @@ class _Census(NamedTuple):
 _last_census: tuple = (None, None, None, None)
 
 
-def _cached_census(graph: Graph, source: int, func: PathFunction) -> _Census | None:
-    """The cached census of this instance, if it is the slot's; apart from
-    `_oracle` so that no local of it holds the old census during a walk."""
-    cached_graph, cached_func, cached_source, census = _last_census
-    if cached_graph is graph and cached_func is func and cached_source == source:
-        return census
-    return None
-
-
 def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> _Census:
     """The census of one instance, behind the oracle's gate.
 
@@ -231,9 +228,8 @@ def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -
         raise ValueError(
             f"oracle requires a function without negative circles; {func.name!r} does not declare one"
         )
-    census = _cached_census(graph, source, func)
-    if census is not None:
-        return census
+    if _last_census[0] is graph and _last_census[1] is func and _last_census[2] == source:
+        return _last_census[3]
     _last_census = (None, None, None, None)
     walk = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1, keep_sons=True))
     groups = _group(walk)
@@ -285,6 +281,7 @@ def check_property(
     census cached. Other systems and bounds walk and extend afresh. The
     first violation in enumeration order is reported.
     """
+    _require_tolerance(tol)
     if prop not in DEF1_PROPERTIES:
         raise ValueError(f"unknown property name {prop!r}")
     if max_roads is None:
@@ -372,6 +369,7 @@ def check_no_negative_circles(
     must be at least n so that a simple circle appended to a short prefix
     fits inside the enumeration.
     """
+    _require_tolerance(tol)
     if max_roads is None:
         max_roads = graph.n + 2
     if max_roads < graph.n:
@@ -416,6 +414,7 @@ def check_wisp(
     `_oracle`) marks each minimum path whose parent is marked (the trivial
     path is). Violated when a vertex has none.
     """
+    _require_tolerance(tol)
     census = _oracle(graph, source, system, func)
     minimum = census.minimum
     witnessed: set[int] = set()
@@ -440,6 +439,7 @@ def compare_tree_to_oracle(tree, oracle: OracleResult, tol: float = 1e-9) -> Pro
 
     Reports the worst-deviating vertex on failure.
     """
+    _require_tolerance(tol)
     if tree.source != oracle.source:
         raise ValueError("mismatched sources")
     scope = f"tolerance:{tol!r}"

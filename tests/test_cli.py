@@ -239,6 +239,15 @@ class TestVerify:
         code = main(["verify", "--graph", diamond_file, "--source", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exits_one(self, diamond_file, capsys, tolerance):
+        for check in (["--against", "oracle"], ["--property", "ndsp"]):
+            code = main(["verify", "--graph", diamond_file, "--source", "0", "--tolerance", tolerance] + check)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == f"error: tolerance must be finite and nonnegative, not {float(tolerance)!r}\n"
+
     @pytest.mark.parametrize("seed, extra, code, digest", [
         (1, ["--algorithm", "eda", "--function", "antirisk"], 0,
          "7c06ebc70e408389dff6c675e5321a81f3571c56b4d78cb26c9f88b12f755ad2"),

@@ -33,6 +33,7 @@ from minpath import (
     format_tree,
     generate_random,
     implied_properties,
+    oracle_min,
     parse_graph,
     path_value,
     remove_road,
@@ -256,9 +257,9 @@ class TestDetourTable:
         searches = []
         loop = minpath.graphs._dijkstra
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             searches.append(args)
-            return loop(*args)
+            return loop(*args, **kwargs)
 
         monkeypatch.setattr(minpath.graphs, "_dijkstra", counted)
         monkeypatch.setattr(minpath.paths, "_dijkstra", counted)
@@ -269,14 +270,18 @@ class TestDetourTable:
             for target in range(diamond.n):
                 assert table.distance(key, 0, target) == base[target]
         assert len(searches) == 1
-        # a->t (key 6) is t's tree road, and origin s is not its tail: one row answers every target
+        # a->t (key 6) is t's tree road, and origin s is not its tail: one search per
+        # first-time target, none for a repeat
         for target in range(diamond.n):
             assert table.distance(6, 0, target) == without_at[target]
-        assert len(searches) == 2
+            assert len(searches) == 2 + target
+        for target in range(diamond.n):
+            assert table.distance(6, 0, target) == without_at[target]
+        assert len(searches) == 1 + diamond.n
         # a second origin gets its own base search; the first origin's tree is kept
         assert table.distance(7, 1, 3) == from_a[3]
         assert table.distance(9, 0, 2) == base[2]  # t->b, not asked before
-        assert len(searches) == 3
+        assert len(searches) == 2 + diamond.n
 
     @pytest.mark.parametrize("origin", [-1, 4], ids=["-1", "n"])
     def test_origin_out_of_range(self, diamond, origin):
@@ -336,6 +341,40 @@ class TestDetourTable:
         system = PathSystem.simple(0)
         own = format_tree(*solver(g, 0, system, make(g, DetourTable(g))))
         assert own == format_tree(*solver(g, 0, system, make(g, None)))
+
+    @pytest.mark.parametrize("make, solver, from_source", [
+        (lambda g, table: anti_risk(g, table), eda, True),
+        (lambda g, table: anti_risk(g, table), oracle_min, True),
+        (lambda g, table: blocked_cost(g, 0.5, table), eda, False),
+        (lambda g, table: blocked_cost(g, 0.5, table), oracle_min, False),
+        (lambda g, table: expected_cost(g, 0.7, table), embfa, False),
+        (lambda g, table: expected_cost(g, 0.7, table), oracle_min, False),
+    ], ids=["antirisk-eda", "antirisk-oracle", "blocked-cost-eda", "blocked-cost-oracle",
+            "expected-cost-embfa", "expected-cost-oracle"])
+    def test_built_in_functions_ask_only_for_the_deleted_roads_head(self, make, solver, from_source):
+        # the table answers any query, but its routes are sized for this traffic
+        for seed in range(1, 5):
+            g = generate_random(7, 18, 0.0, 10.0, "directed" if seed % 2 else "undirected", seed)
+            source = seed % g.n
+            table = RecordingTable(g)
+            solver(g, source, PathSystem.simple(source), make(g, table))
+            assert table.queries
+            for deleted, origin, target in table.queries:
+                road = g.road(deleted)
+                assert target == road.head
+                assert origin == (source if from_source else road.tail)
+
+
+class RecordingTable(DetourTable):
+    """Records every query on its way through, as the benchmark's traced table times it."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.queries = []
+
+    def distance(self, deleted, origin, target):
+        self.queries.append((deleted, origin, target))
+        return super().distance(deleted, origin, target)
 
 
 def direct_risk(graph, path, detour_from_source):

@@ -312,6 +312,24 @@ class TestCompareTreeToOracle:
             compare_tree_to_oracle(tree, oracle)
 
 
+@pytest.mark.parametrize("check", [
+    lambda g, func, tol: check_property(g, 0, PathSystem.simple(0), func, NDSP, tol=tol),
+    lambda g, func, tol: check_no_negative_circles(g, 0, func, tol=tol),
+    lambda g, func, tol: check_wisp(g, 0, PathSystem.simple(0), func, tol),
+    lambda g, func, tol: compare_tree_to_oracle(
+        eda(g, 0, PathSystem.simple(0), func)[0], oracle_min(g, 0, PathSystem.simple(0), func), tol
+    ),
+], ids=["check_property", "check_no_negative_circles", "check_wisp", "compare_tree_to_oracle"])
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), INF], ids=["negative", "nan", "inf"])
+    def test_rejects_a_bad_tolerance(self, diamond, check, tol):
+        with pytest.raises(ValueError, match=f"^tolerance must be finite and nonnegative, not {tol!r}$"):
+            check(diamond, classic_distance(diamond), tol)
+
+    def test_accepts_zero(self, diamond, check):
+        assert check(diamond, classic_distance(diamond), 0.0).verdict == NO_VIOLATION
+
+
 class TestBoundedLengthConvergence:
     def test_minimum_over_bounded_paths_converges(self):
         # For circle-free costs, min over paths of <= L roads is nonincreasing
