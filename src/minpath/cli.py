@@ -182,6 +182,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     if args.against is None and not args.property:
         raise ValueError("nothing to verify: pass --against oracle and/or --property NAME")
+    verify_mod._require_tolerance(args.tolerance)  # before any loading or solving
     graph = _load_graph(args.graph)
     system = _system(args.system, args.source)
     func = _build_function(graph, args.function, args.p)

@@ -17,6 +17,7 @@ from .paths import (
     NDSP,
     NO_NEGATIVE_CIRCLES,
     OP,
+    SIMPLE,
     SOPSP,
     WISP,
     ZERO_COST,
@@ -95,7 +96,7 @@ class ShortestPathTree:
 
     @cached_property
     def parent(self) -> dict[int, tuple[int, int]]:
-        return {v: (path.vertices[-2], path.roads[-1]) for v, path in self.paths.items() if v != self.source}
+        return {v: (path._prefix.terminal, path._key) for v, path in self.paths.items() if v != self.source}
 
     @cached_property
     def covered(self) -> set[int]:
@@ -262,6 +263,7 @@ def embfa(
     value: dict[int, float] = {source: func.base}
     children: dict[int, list[int]] = {}  # tree children of each covered vertex
 
+    apply, out, simple = func.apply, graph._out, system.kind == SIMPLE
     active = [source]
     scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
     while True:
@@ -273,12 +275,16 @@ def embfa(
                 continue  # detached with an ancestor's subtree, or unchanged since its last scan
             scanned[u] = path_u
             value_u = value[u]
-            on_path = set(path_u.vertices)  # one set per scanned tail, so each road tests in O(1)
-            for road in graph.out_roads(u):
+            on_path = set()  # one set per scanned tail, so each road tests in O(1)
+            link = path_u
+            while link is not None:
+                on_path.add(link.terminal)
+                link = link._prefix
+            for road in out[u]:
                 v = road.head
-                if not system.admits(v, on_path):
-                    continue
-                candidate = func.apply(value_u, path_u, road)
+                if simple and v in on_path:
+                    continue  # the simple system admits no revisit
+                candidate = apply(value_u, path_u, road)
                 stats.extend_calls += 1
                 if v not in paths or candidate < value[v]:
                     if v in on_path:
@@ -289,7 +295,7 @@ def embfa(
                     if v in paths:
                         # Subtree disassembly: v's descendants lose their paths
                         # until later scans re-adopt them.
-                        children[paths[v].vertices[-2]].remove(v)
+                        children[paths[v]._prefix.terminal].remove(v)
                         detached = children.pop(v, [])
                         for w in detached:
                             del paths[w], value[w]
@@ -307,8 +313,8 @@ def embfa(
     # not. A candidate below its head's tree value is a vetoed improvement.
     for u in sorted(paths):
         path_u, value_u = paths[u], value[u]
-        for road in graph.out_roads(u):
-            candidate = func.apply(value_u, path_u, road)
+        for road in out[u]:
+            candidate = apply(value_u, path_u, road)
             stats.extend_calls += 1
             if candidate < value.get(road.head, INF):
                 stats.vetoed += 1
@@ -325,19 +331,18 @@ def format_tree(tree: ShortestPathTree, stats: RunStats) -> str:
     values (from `sta`) print ``value=-``. Each path's text is its parent
     vertex's text plus one road, so ``tree.paths`` is read parents-first, the
     order every solver builds it in. A path whose parent vertex comes later
-    in ``tree.paths``, or holds another path than this one's one-road
-    prefix, as a hand-built tree may, is serialized whole by `format_path`;
-    the text is the same either way.
+    in ``tree.paths``, or holds another object than this path's one-road
+    prefix (an equal path built apart, as in a hand-built tree), is
+    serialized whole by `format_path`; the text is the same either way.
     """
     paths, value = tree.paths, tree.value
     text: dict[int, str] = {}
     for v, path in paths.items():
-        roads = path.roads
-        if roads:
-            u = path.vertices[-2]
-            prefix = text.get(u)
-            if prefix is not None and paths[u].roads == roads[:-1]:
-                text[v] = f"{prefix} -> {path.vertices[-1]}[k{roads[-1]}]"
+        prefix = path._prefix
+        if prefix is not None:
+            u = prefix.terminal
+            if u in text and paths[u] is prefix:
+                text[v] = f"{text[u]} -> {path.terminal}[k{path._key}]"
                 continue
         text[v] = format_path(path)
     lines = [f"{v} value={repr(value[v]) if v in value else '-'} path={text[v]}" for v in sorted(paths)]

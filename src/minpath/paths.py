@@ -10,6 +10,7 @@ after detour caching.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import numbers
 from dataclasses import dataclass, field
@@ -69,65 +70,87 @@ class Path:
 
     The empty road list is the trivial path that starts and ends at the
     source. Consecutive roads must chain: road i ends where road i+1 begins.
-    Instances are immutable; ``extended`` returns a new path.
+    Instances are immutable and persistent: a path is its one-road-shorter
+    prefix plus one road, and shares that prefix with every other path that
+    extends it, so ``extended`` is O(1) and copies nothing. ``roads`` and
+    ``vertices`` build their tuples on request, in O(length).
     """
 
-    __slots__ = ("graph", "source", "roads", "vertices")
+    __slots__ = ("graph", "source", "terminal", "_prefix", "_key", "_length")
 
     def __init__(self, graph: Graph, source: int, roads: tuple[int, ...] | list[int] = ()):
         if not 0 <= source < graph.n:
             raise ValueError(f"source {source} out of range")
-        roads = tuple(roads)
-        vertices = [source]
-        at = source
-        for key in roads:
-            road = graph.road(key)
-            if road.tail != at:
-                raise ValueError(f"road chain broken: road {key} starts at {road.tail}, expected {at}")
-            at = road.head
-            vertices.append(at)
         self.graph = graph
         self.source = source
-        self.roads = roads
-        self.vertices = tuple(vertices)
+        self.terminal = source
+        self._prefix = self._key = None  # the trivial path has neither
+        self._length = 0
+        if roads:
+            path = Path(graph, source)
+            for key in roads:
+                path = path.extended(key)
+            self.terminal, self._prefix, self._key, self._length = path.terminal, path._prefix, path._key, path._length
 
-    @classmethod
-    def _make(cls, graph: Graph, source: int, roads: tuple[int, ...], vertices: tuple[int, ...]) -> "Path":
-        path = object.__new__(cls)
-        path.graph = graph
-        path.source = source
-        path.roads = roads
-        path.vertices = vertices
-        return path
+    def _links(self) -> list["Path"]:
+        """The nontrivial prefixes, longest (this path) first."""
+        links = []
+        path = self
+        while path._prefix is not None:
+            links.append(path)
+            path = path._prefix
+        return links
 
     @property
-    def terminal(self) -> int:
-        return self.vertices[-1]
+    def roads(self) -> tuple[int, ...]:
+        return tuple([path._key for path in reversed(self._links())])
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return (self.source, *[path.terminal for path in reversed(self._links())])
 
     @property
     def is_simple(self) -> bool:
         """True when no vertex repeats (a path "without circles")."""
-        return len(set(self.vertices)) == len(self.vertices)
+        vertices = self.vertices
+        return len(set(vertices)) == len(vertices)
 
     def extended(self, key: int) -> "Path":
         road = self.graph.road(key)
         if road.tail != self.terminal:
             raise ValueError(f"road chain broken: road {key} starts at {road.tail}, expected {self.terminal}")
-        return Path._make(self.graph, self.source, self.roads + (key,), self.vertices + (road.head,))
+        path = object.__new__(Path)
+        path.graph = self.graph
+        path.source = self.source
+        path.terminal = road.head
+        path._prefix = self
+        path._key = key
+        path._length = self._length + 1
+        return path
 
     def prefix(self, length: int) -> "Path":
         """The prefix with the first ``length`` roads."""
-        if not 0 <= length <= len(self.roads):
+        if not 0 <= length <= self._length:
             raise ValueError(f"prefix length {length} out of range")
-        return Path._make(self.graph, self.source, self.roads[:length], self.vertices[: length + 1])
+        path = self
+        for _ in range(self._length - length):
+            path = path._prefix
+        return path
 
     def __len__(self) -> int:
-        return len(self.roads)
+        return self._length
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Path):
             return NotImplemented
-        return self.source == other.source and self.roads == other.roads
+        if self.source != other.source or self._length != other._length:
+            return False
+        a, b = self, other
+        while a is not b:  # two trivial paths of one source both end at None
+            if a._key != b._key:
+                return False
+            a, b = a._prefix, b._prefix
+        return True
 
     def __hash__(self) -> int:
         return hash((self.source, self.roads))
@@ -138,10 +161,7 @@ class Path:
 
 def format_path(path: Path) -> str:
     """Serialize as ``s=v0 -> v1[k3] -> v2[k7]`` with road keys in brackets."""
-    parts = [f"s={path.source}"]
-    for key, vertex in zip(path.roads, path.vertices[1:]):
-        parts.append(f"{vertex}[k{key}]")
-    return " -> ".join(parts)
+    return " -> ".join([f"s={path.source}", *[f"{p.terminal}[k{p._key}]" for p in reversed(path._links())]])
 
 
 @dataclass(frozen=True)
@@ -216,10 +236,9 @@ ZERO_COST = PathFunction("zero", 0.0, lambda value, parent, road: 0.0, frozenset
 
 def path_value(func: PathFunction, path: Path) -> float:
     """Fold ``func.apply`` along the path's roads starting from the base."""
-    value, prefix = func.base, Path(path.graph, path.source)
-    for key in path.roads:
-        value = func.apply(value, prefix, path.graph.road(key))
-        prefix = prefix.extended(key)
+    value = func.base
+    for link in reversed(path._links()):
+        value = func.apply(value, link._prefix, path.graph.road(link._key))
     return value
 
 
@@ -237,9 +256,15 @@ def implied_properties(declared: frozenset[str] | set[str], system: PathSystem) 
     circle), so they are added after closing and feed no derivation: a
     function whose walks have negative circles, such as expected-cost with
     a large p, can have minima that are not weakly inherited even though
-    every member path is simple.
+    every member path is simple. The closure is computed once per declared
+    set and system kind.
     """
-    simple = system.kind == SIMPLE
+    return _closure(frozenset(declared), system.kind)
+
+
+@functools.lru_cache(maxsize=256)  # bounded: declared sets are arbitrary strings
+def _closure(declared: frozenset[str], kind: str) -> frozenset[str]:
+    simple = kind == SIMPLE
     rules = (
         ({SOP}, SOPSP),
         ({OP}, SOP),
@@ -287,7 +312,8 @@ class DetourTable:
       survives the deletion, so the answer is read from the base row. This
       holds for a tight road tied with the tree road too.
     - The deleted road u->v is v's parent road and the origin is not u, as
-      anti-risk asks. Only v's subtree loses its tree paths. One search
+      anti-risk asks. Only v's subtree loses its tree paths, so a target
+      outside it is read from the base row. For one inside, a search
       starts from a copy of the base row with the subtree's entries reset,
       seeds each subtree vertex with the best ``base[y] + w`` over the
       other roads y->x entering it from outside, and runs the heap loop
@@ -303,7 +329,7 @@ class DetourTable:
 
     Every answer is cached under its whole key, so a repeated query is one
     lookup and a first-time query one failed lookup before its route. A
-    first-time query by either tree-road route runs one search, so a
+    first-time query by either tree-road route runs at most one search, so a
     caller that wants every target of one deleted road should run
     ``dijkstra_classic(remove_road(graph, deleted), origin)`` instead. An
     origin asked only about roads out of itself, as by blocked-cost and
@@ -363,6 +389,8 @@ class DetourTable:
         subtree = [road.head]
         for v in subtree:
             subtree.extend(children[v])
+        if target not in subtree:
+            return base[target]  # its tree path survives the deletion
         row = list(base)
         for v in subtree:
             row[v] = INF

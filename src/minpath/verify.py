@@ -146,10 +146,12 @@ def _walk_values(
         # one entry per path on the current branch: its value, its sons and
         # its remaining roads, so each yield costs O(1) whatever the depth
         stack = [(root, func.base, sons, iter(graph.out_roads(source)))] if max_roads else []
+        # the branch's vertices: exact on the simple system, the one system whose `admits` reads them
+        on_branch = {source}
         while stack:
             path, value, sons, roads = stack[-1]
             for road in roads:
-                if not system.admits(road.head, path.vertices):
+                if not system.admits(road.head, on_branch):
                     continue
                 child = path.extended(road.key)
                 child_value = func.apply(value, path, road)
@@ -157,11 +159,13 @@ def _walk_values(
                     sons[road.key] = child_value
                 child_sons = {} if keep_sons else None
                 yield child, child_value, child_sons
-                if len(child.roads) < max_roads:
+                if len(child) < max_roads:
                     stack.append((child, child_value, child_sons, iter(graph.out_roads(road.head))))
+                    on_branch.add(road.head)
                 break
             else:
                 stack.pop()
+                on_branch.discard(path.terminal)
 
     return walk()
 
@@ -170,7 +174,7 @@ class _FreshSons:
     """A member's sons by road key, each admitted and valued on request: the
     walk's own record stops at the bound, which may cut admitted sons off."""
 
-    __slots__ = ("graph", "system", "func", "path", "value")
+    __slots__ = ("graph", "system", "func", "path", "value", "on_path")
 
     def __init__(self, graph: Graph, system: PathSystem, func: PathFunction, path: Path, value: float):
         self.graph = graph
@@ -178,9 +182,12 @@ class _FreshSons:
         self.func = func
         self.path = path
         self.value = value
+        self.on_path = None  # the path's vertex set, built on the first membership test
 
     def __contains__(self, key: int) -> bool:
-        return self.system.admits(self.graph.road(key).head, self.path.vertices)
+        if self.on_path is None:
+            self.on_path = set(self.path.vertices)
+        return self.system.admits(self.graph.road(key).head, self.on_path)
 
     def __getitem__(self, key: int) -> float:
         return self.func.apply(self.value, self.path, self.graph.road(key))
@@ -377,12 +384,14 @@ def check_no_negative_circles(
     name = NO_NONPOSITIVE_CIRCLES if strict else NO_NEGATIVE_CIRCLES
     scope = f"max_roads:{max_roads}"
 
-    values: list[float] = []  # values[i]: the value of the current path's i-road prefix
+    # values[i] and vertices[i]: the value and the terminal of the current path's i-road prefix
+    values: list[float] = []
+    vertices: list[int] = []
     for path, full, _ in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
-        del values[len(path) :]
+        del values[len(path) :], vertices[len(path) :]
         values.append(full)
-        vertices = path.vertices
-        t = vertices[-1]
+        t = path.terminal
+        vertices.append(t)
         i = vertices.index(t)  # each earlier visit to t closes a circle
         while i < len(path):
             diff = full - values[i]

@@ -248,6 +248,14 @@ class TestVerify:
             assert captured.out == ""
             assert captured.err == f"error: tolerance must be finite and nonnegative, not {float(tolerance)!r}\n"
 
+    def test_bad_tolerance_is_rejected_before_the_graph_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.g")
+        code = main(["verify", "--graph", missing, "--source", "0", "--tolerance", "-1", "--against", "oracle"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be finite and nonnegative, not -1.0\n"
+
     @pytest.mark.parametrize("seed, extra, code, digest", [
         (1, ["--algorithm", "eda", "--function", "antirisk"], 0,
          "7c06ebc70e408389dff6c675e5321a81f3571c56b4d78cb26c9f88b12f755ad2"),

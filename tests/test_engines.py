@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -193,6 +194,23 @@ class TestEda:
         (t1, s1), (t2, s2) = runs
         assert (t1.parent, t1.value, t1.order) == (t2.parent, t2.value, t2.order)
         assert s1 == s2
+
+
+    def test_memory_stays_linear_on_a_deep_ring(self):
+        # each tree path is its parent's plus one road: 4,000 paths of depth
+        # up to 3,999 took 123 MiB when every path copied its prefix's roads
+        n = 4000
+        g = Graph([Vertex(v) for v in range(n)], [Road(v, v, (v + 1) % n, 1.0) for v in range(n)])
+        func = classic_distance(g)
+        tracemalloc.start()
+        try:
+            tree, _ = eda(g, 0, PathSystem.simple(0), func)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.value[n - 1] == n - 1
+        assert len(tree.path_to(n - 1)) == n - 1
+        assert peak < 8 * 2**20
 
 
 class TestEmbfa:

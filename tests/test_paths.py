@@ -39,6 +39,7 @@ from minpath import (
     remove_road,
 )
 from minpath.paths import (
+    INSP,
     NDSP,
     NO_NEGATIVE_CIRCLES,
     NO_NONPOSITIVE_CIRCLES,
@@ -95,6 +96,59 @@ class TestPath:
     def test_format(self, diamond):
         assert format_path(Path(diamond, 0)) == "s=0"
         assert format_path(Path(diamond, 0, (0, 6))) == "s=0 -> 1[k0] -> 3[k6]"
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_tuple_model(self, data):
+        # each path is a prefix plus one road; the model keeps whole tuples
+        n = data.draw(st.integers(2, 6), label="n")
+        ends = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            min_size=1, max_size=3 * n,
+        ), label="roads")
+        g = Graph([Vertex(v) for v in range(n)], [Road(k, *e, 1.0) for k, e in enumerate(ends)])
+        source = data.draw(st.integers(0, n - 1), label="source")
+        path, roads, vertices = Path(g, source), (), (source,)
+        walked = [(path, roads, vertices)]
+        for _ in range(data.draw(st.integers(0, 8), label="steps")):
+            out = [r.key for r in g.out_roads(vertices[-1])]
+            key = data.draw(st.sampled_from(out) if out and data.draw(st.booleans()) else st.integers(0, g.m))
+            if key == g.m:
+                with pytest.raises(ValueError, match=f"^unknown road key {key}$"):
+                    path.extended(key)
+                continue
+            if key not in out:
+                message = f"^road chain broken: road {key} starts at {g.road(key).tail}, expected {vertices[-1]}$"
+                with pytest.raises(ValueError, match=message):
+                    path.extended(key)
+                with pytest.raises(ValueError, match=message):
+                    Path(g, source, roads + (key,))
+                continue
+            path, roads, vertices = path.extended(key), roads + (key,), vertices + (g.road(key).head,)
+            walked.append((path, roads, vertices))
+        for path, roads, vertices in walked:
+            assert path.roads == roads
+            assert path.vertices == vertices
+            assert len(path) == len(roads)
+            assert path.terminal == vertices[-1]
+            assert path.is_simple == (len(set(vertices)) == len(vertices))
+            rebuilt = Path(g, source, list(roads))
+            assert rebuilt == path and hash(rebuilt) == hash(path) == hash((source, roads))
+            assert format_path(path) == " -> ".join(
+                [f"s={source}"] + [f"{v}[k{k}]" for k, v in zip(roads, vertices[1:])]
+            )
+            for length in range(len(roads) + 1):
+                assert path.prefix(length).roads == roads[:length]
+                assert path.prefix(length).vertices == vertices[: length + 1]
+            for length in (-1, len(roads) + 1):
+                with pytest.raises(ValueError, match=f"^prefix length {length} out of range$"):
+                    path.prefix(length)
+        for a, roads_a, _ in walked:
+            for b, roads_b, _ in walked:
+                assert (a == b) == (roads_a == roads_b)
+        other = (source + 1) % n
+        assert Path(g, other) != Path(g, source)
+        assert Path(g, other) == Path(g, other)
 
 
 class TestMembership:
@@ -270,18 +324,44 @@ class TestDetourTable:
             for target in range(diamond.n):
                 assert table.distance(key, 0, target) == base[target]
         assert len(searches) == 1
-        # a->t (key 6) is t's tree road, and origin s is not its tail: one search per
-        # first-time target, none for a repeat
+        # a->t (key 6) is t's tree road, and origin s is not its tail: t's subtree is
+        # {t}, so one search for target t, none for a target outside it or a repeat
         for target in range(diamond.n):
             assert table.distance(6, 0, target) == without_at[target]
-            assert len(searches) == 2 + target
+            assert len(searches) == 1 + (target == 3)
         for target in range(diamond.n):
             assert table.distance(6, 0, target) == without_at[target]
-        assert len(searches) == 1 + diamond.n
+        assert len(searches) == 2
         # a second origin gets its own base search; the first origin's tree is kept
         assert table.distance(7, 1, 3) == from_a[3]
         assert table.distance(9, 0, 2) == base[2]  # t->b, not asked before
-        assert len(searches) == 2 + diamond.n
+        assert len(searches) == 3
+
+    def test_target_outside_the_subtree_reads_the_base_row(self, monkeypatch):
+        g = generate_random(40, 160, 0.0, 10.0, "directed", 1)
+        roads = [road for road in g.roads if road.tail != 0]  # tail 0 takes the tail-origin route
+        expected = {road.key: dijkstra_classic(remove_road(g, road.key), 0) for road in roads}
+        searches = []
+        loop = minpath.graphs._dijkstra
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return loop(*args, **kwargs)
+
+        monkeypatch.setattr(minpath.graphs, "_dijkstra", counted)
+        monkeypatch.setattr(minpath.paths, "_dijkstra", counted)
+        table = DetourTable(g)
+        table.distance(0, 0, 0)
+        assert len(searches) == 1  # the base search from origin 0
+        # neither the origin nor a road's tail lies in the subtree below the road
+        for road in roads:
+            for target in (0, road.tail):
+                assert table.distance(road.key, 0, target) == expected[road.key][target]
+        assert len(searches) == 1
+        # a head whose tree road is deleted does run the subtree search
+        for road in roads:
+            assert table.distance(road.key, 0, road.head) == expected[road.key][road.head]
+        assert len(searches) > 1
 
     @pytest.mark.parametrize("origin", [-1, 4], ids=["-1", "n"])
     def test_origin_out_of_range(self, diamond, origin):
@@ -510,6 +590,15 @@ class TestDeclaredProperties:
     def test_op_implies_weak_and_semi(self):
         implied = implied_properties(frozenset({OP}), PathSystem.all_paths(0))
         assert {SOP, SOPSP} <= implied
+
+    def test_closure_is_the_same_for_a_set_and_a_frozenset(self):
+        for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
+            for declared in (set(), {OP}, {SOP, INSP, NO_NEGATIVE_CIRCLES}, {NO_NONPOSITIVE_CIRCLES, SOP}):
+                from_set = implied_properties(set(declared), system)
+                from_frozen = implied_properties(frozenset(declared), system)
+                assert type(from_set) is frozenset and type(from_frozen) is frozenset
+                assert from_set == from_frozen
+                assert implied_properties(frozenset(declared), system) is from_frozen  # computed once
 
     def test_no_nonpositive_implies_no_negative(self):
         implied = implied_properties(frozenset({NO_NONPOSITIVE_CIRCLES}), PathSystem.all_paths(0))

@@ -213,6 +213,30 @@ class TestCheckCircles:
         with pytest.raises(ValueError, match="at least n"):
             check_no_negative_circles(diamond, 0, classic_distance(diamond), max_roads=2)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_reports_match_a_scan_of_whole_vertex_lists(self, strict):
+        # 40 graphs with some negative roads, so both verdicts occur
+        verdicts = set()
+        for seed in range(40):
+            g = generate_random(7, 14, -2.0, 10.0, "directed", seed)
+            func = classic_distance(g)
+            report = check_no_negative_circles(g, 0, func, strict=strict)
+            expected = None
+            for path in enumerate_paths(g, 0, PathSystem.all_paths(0), g.n + 2):
+                full, vertices = path_value(func, path), path.vertices
+                for i in range(len(path)):
+                    before = path_value(func, path.prefix(i))
+                    diff = full - before
+                    if vertices[i] == vertices[-1] and (diff <= 1e-9 if strict else diff < -1e-9):
+                        expected = {"prefix": path.prefix(i), "full": path, "values": (before, full)}
+                        break
+                if expected is not None:
+                    break
+            assert report.details == expected
+            assert report.verdict == (NO_VIOLATION if expected is None else VIOLATED)
+            verdicts.add(report.verdict)
+        assert verdicts == {NO_VIOLATION, VIOLATED}
+
 
 class TestCheckWisp:
     def test_classic_on_diamond(self, diamond):
