@@ -195,7 +195,6 @@ class TestEda:
         assert (t1.parent, t1.value, t1.order) == (t2.parent, t2.value, t2.order)
         assert s1 == s2
 
-
     def test_memory_stays_linear_on_a_deep_ring(self):
         # each tree path is its parent's plus one road: 4,000 paths of depth
         # up to 3,999 took 123 MiB when every path copied its prefix's roads
