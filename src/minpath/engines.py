@@ -222,7 +222,11 @@ def embfa(
     path. An uncovered vertex adopts even an infinite candidate, so the
     covered set still matches the system's reachable set. Uncovered
     vertices (the initial "no path yet" state) are never scanned. Scans
-    skip roads the system vetoes.
+    skip roads the system vetoes. A scan builds the set of its tail's tree
+    path's vertices only when it meets a covered head: an uncovered head
+    lies on no tree path, so a scan that meets none costs O(out-degree)
+    whatever the depth, and a deep tree of fresh vertices (a ring) stays
+    linear.
 
     The stored paths form one tree: every covered vertex's stored path is
     its parent's plus one road, and its stored value is that path's fold.
@@ -275,24 +279,28 @@ def embfa(
                 continue  # detached with an ancestor's subtree, or unchanged since its last scan
             scanned[u] = path_u
             value_u = value[u]
-            on_path = set()  # one set per scanned tail, so each road tests in O(1)
-            link = path_u
-            while link is not None:
-                on_path.add(link.terminal)
-                link = link._prefix
+            on_path = None  # u's tree path's vertices, built at the first covered head
             for road in out[u]:
                 v = road.head
-                if simple and v in on_path:
-                    continue  # the simple system admits no revisit
+                value_v = value.get(v)  # None for an uncovered head, which lies on no tree path
+                if value_v is not None:
+                    if on_path is None:
+                        on_path = set()  # one set per scanned tail, so each road tests in O(1)
+                        link = path_u
+                        while link is not None:
+                            on_path.add(link.terminal)
+                            link = link._prefix
+                    if simple and v in on_path:
+                        continue  # the simple system admits no revisit
                 candidate = apply(value_u, path_u, road)
                 stats.extend_calls += 1
-                if v not in paths or candidate < value[v]:
-                    if v in on_path:
-                        raise NegativeCircleError(
-                            f"road {road.key} from vertex {u} lowers vertex {v}, which lies on {u}'s tree path; "
-                            "the path function has a negative circle on this input"
-                        )
-                    if v in paths:
+                if value_v is None or candidate < value_v:
+                    if value_v is not None:
+                        if v in on_path:
+                            raise NegativeCircleError(
+                                f"road {road.key} from vertex {u} lowers vertex {v}, which lies on {u}'s tree path; "
+                                "the path function has a negative circle on this input"
+                            )
                         # Subtree disassembly: v's descendants lose their paths
                         # until later scans re-adopt them.
                         children[paths[v]._prefix.terminal].remove(v)

@@ -109,12 +109,6 @@ class Path:
     def vertices(self) -> tuple[int, ...]:
         return (self.source, *[path.terminal for path in reversed(self._links())])
 
-    @property
-    def is_simple(self) -> bool:
-        """True when no vertex repeats (a path "without circles")."""
-        vertices = self.vertices
-        return len(set(vertices)) == len(vertices)
-
     def extended(self, key: int) -> "Path":
         road = self.graph.road(key)
         if road.tail != self.terminal:
@@ -186,11 +180,6 @@ class PathSystem:
     @classmethod
     def all_paths(cls, source: int) -> "PathSystem":
         return cls(ALL, source)
-
-    def contains(self, path: Path) -> bool:
-        if path.source != self.source:
-            return False
-        return self.kind == ALL or path.is_simple
 
     def admits(self, head: int, on_path: Container[int]) -> bool:
         """Membership of a member path extended by one road into ``head``.

@@ -7,9 +7,11 @@ the quantified definitions exhaustively within an enumeration bound: a
 ``no-violation-found`` verdict is bounded evidence, not proof, while a
 ``violated`` verdict always carries a concrete witness.
 
-The oracle's walk is kept as a census of its instance (see `_oracle`):
-`oracle_min`, `check_wisp` and `check_property` on the simple system read
-it, so checking one instance walks its simple paths once.
+The oracle walks the simple paths of a graph and source once, and folds
+each function's values over that walk once (see `_oracle`): `oracle_min`,
+`check_wisp` and `check_property` on the simple system read that census, so
+checking several functions on one graph and source walks its simple paths
+once and extends each of them once per function.
 
 Value comparisons use an absolute tolerance (default 1e-9), which must be
 finite and nonnegative; 0.0 compares exactly. Conclusions of
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph, Road
 from .paths import (
@@ -112,10 +113,7 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
     Children are visited in road-key order and the trivial path comes
     first, so the stream order is deterministic and complete for the bound.
     """
-    return (path for path, _, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
-
-
-_Member = tuple[Path, float, dict[int, float] | None]
+    return (path for path, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
 
 
 def _walk_values(
@@ -124,43 +122,32 @@ def _walk_values(
     system: PathSystem,
     func: PathFunction,
     max_roads: int,
-    keep_sons: bool = False,
-) -> Iterator[_Member]:
-    """(member, value, sons) triples in `enumerate_paths` order.
-
-    Each value is one checked extension of its parent's. With ``keep_sons``
-    the walk also records it in the parent's ``sons`` under the road's key,
-    so once the walk has left a member, its ``sons`` holds the value of
-    every admitted son within the bound (none for a member of ``max_roads``
-    roads); without it ``sons`` is None.
-    """
+) -> Iterator[tuple[Path, float]]:
+    """(member, value) pairs in `enumerate_paths` order, each value one
+    checked extension of its parent's."""
     if max_roads < 0:
         raise ValueError("max_roads must be nonnegative")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
 
-    def walk() -> Iterator[_Member]:
+    def walk() -> Iterator[tuple[Path, float]]:
         root = Path(graph, source)
-        sons = {} if keep_sons else None
-        yield root, func.base, sons
-        # one entry per path on the current branch: its value, its sons and
-        # its remaining roads, so each yield costs O(1) whatever the depth
-        stack = [(root, func.base, sons, iter(graph.out_roads(source)))] if max_roads else []
+        yield root, func.base
+        # one entry per path on the current branch: its value and its
+        # remaining roads, so each yield costs O(1) whatever the depth
+        stack = [(root, func.base, iter(graph.out_roads(source)))] if max_roads else []
         # the branch's vertices: exact on the simple system, the one system whose `admits` reads them
         on_branch = {source}
         while stack:
-            path, value, sons, roads = stack[-1]
+            path, value, roads = stack[-1]
             for road in roads:
                 if not system.admits(road.head, on_branch):
                     continue
                 child = path.extended(road.key)
                 child_value = func.apply(value, path, road)
-                if sons is not None:
-                    sons[road.key] = child_value
-                child_sons = {} if keep_sons else None
-                yield child, child_value, child_sons
+                yield child, child_value
                 if len(child) < max_roads:
-                    stack.append((child, child_value, child_sons, iter(graph.out_roads(road.head))))
+                    stack.append((child, child_value, iter(graph.out_roads(road.head))))
                     on_branch.add(road.head)
                 break
             else:
@@ -171,83 +158,130 @@ def _walk_values(
 
 
 class _FreshSons:
-    """A member's sons by road key, each admitted and valued on request: the
-    walk's own record stops at the bound, which may cut admitted sons off."""
+    """A member's sons by road key, each admitted and valued on request, for
+    a walk whose bound may cut admitted sons off. Like a walk's ``sons``
+    entry, `get` gives the son's index in ``values``: it appends the value."""
 
-    __slots__ = ("graph", "system", "func", "path", "value", "on_path")
+    __slots__ = ("system", "func", "path", "value", "values", "on_path")
 
-    def __init__(self, graph: Graph, system: PathSystem, func: PathFunction, path: Path, value: float):
-        self.graph = graph
+    def __init__(self, system: PathSystem, func: PathFunction, path: Path, value: float, values: list):
         self.system = system
         self.func = func
         self.path = path
         self.value = value
+        self.values = values
         self.on_path = None  # the path's vertex set, built on the first membership test
 
-    def __contains__(self, key: int) -> bool:
+    def get(self, key: int) -> int | None:
         if self.on_path is None:
             self.on_path = set(self.path.vertices)
-        return self.system.admits(self.graph.road(key).head, self.on_path)
+        road = self.path.graph.road(key)
+        if not self.system.admits(road.head, self.on_path):
+            return None
+        self.values.append(self.func.apply(self.value, self.path, road))
+        return len(self.values) - 1
 
-    def __getitem__(self, key: int) -> float:
-        return self.func.apply(self.value, self.path, self.graph.road(key))
 
+class _Walk:
+    """Every simple path from one source, in `enumerate_paths` order.
 
-def _group(members: Iterable[_Member]) -> dict[int, list[_Member]]:
-    """The walked members grouped by terminal, each group in walk order."""
-    groups: dict[int, list[_Member]] = {}
-    for member in members:
-        groups.setdefault(member[0].terminal, []).append(member)
-    return groups
+    Member i is ``paths[i]``: member ``parent[i]`` extended by road
+    ``roads[i]`` (the trivial path, member 0, has neither). ``sons[i]`` maps
+    the key of each road that extends member i into another simple path to
+    that son's index, and ``groups`` maps each terminal to its members'
+    indices in walk order. The walk goes to depth n-1, where a simple path
+    has no son, so every member's sons are complete.
+    """
+
+    __slots__ = ("paths", "parent", "roads", "sons", "groups", "__weakref__")
+
+    def __init__(self, graph: Graph, source: int):
+        self.paths = paths = [Path(graph, source)]
+        self.parent = parent = [-1]
+        self.roads = roads = [None]
+        self.sons = sons = [{}]
+        self.groups = groups = {source: [0]}
+        stack = [(0, iter(graph.out_roads(source)))]  # the current branch's members and their remaining roads
+        on_branch = {source}  # the current branch's vertices, which no son revisits
+        while stack:
+            i, out = stack[-1]
+            for road in out:
+                head = road.head
+                if head in on_branch:
+                    continue
+                j = len(paths)
+                paths.append(paths[i].extended(road.key))
+                parent.append(i)
+                roads.append(road)
+                sons[i][road.key] = j
+                sons.append({})
+                groups.setdefault(head, []).append(j)
+                stack.append((j, iter(graph.out_roads(head))))
+                on_branch.add(head)
+                break
+            else:
+                stack.pop()
+                on_branch.discard(paths[i].terminal)
 
 
 class _Census(NamedTuple):
-    """One walk over every simple path of an instance, as all checks read it."""
+    """One function's values over a walk, with the minima and witnesses they give."""
 
+    walk: _Walk
+    values: list[float]  # indexed like the walk
     minimum: dict[int, float]
     witness: dict[int, Path]
-    walk: list[_Member]  # pre-order, every member's sons complete
-    groups: dict[int, list[_Member]]  # `_group(walk)`
 
 
-# The last census built and its instance: (graph, func, source, census).
-# The checks are separate public functions with no object passed between
-# them, so the census lives here. The strong references keep the
-# identities it is keyed by from being reused while it is cached. The slot is only ever replaced whole: emptied
-# before a walk, so that two censuses are never alive at once, and filled
-# only by a walk that finished.
-_last_census: tuple = (None, None, None, None)
+# The last walk and the last census, with what each is keyed by:
+# (graph, source, walk) and (func, census), the census always over that
+# walk. The checks are separate public functions with no object passed
+# between them, so both live here. The strong references keep the
+# identities they are keyed by from being reused while they are cached.
+# Each slot is only ever replaced whole: the walk's (with the census's)
+# emptied before another walk, the census's before another fold, so that
+# two of either are never alive at once, and each filled only by a walk or
+# a fold that finished.
+_last_walk: tuple = (None, None, None)
+_last_census: tuple = (None, None)
 
 
 def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> _Census:
-    """The census of one instance, behind the oracle's gate.
+    """The census of one function on one graph and source, behind the oracle's gate.
 
-    An instance is the identity of ``graph`` and ``func`` plus ``source``
-    (``system`` only feeds the gate, which runs on every call: the walk is
-    always the simple system's, to depth n-1). The census is built by one
-    walk the first time an instance asks and kept in one module-level slot,
-    so `oracle_min`, `check_property` and `check_wisp` on the same instance
-    share it. The slot pins that one census, with its graph and function,
-    until a call on another instance releases it before walking.
+    ``system`` only feeds the gate, which runs on every call: the walk is
+    always the simple system's, to depth n-1. The walk depends only on the
+    identity of ``graph`` and on ``source``, so `oracle_min`, `check_property`
+    and `check_wisp` share it across every function checked there; each
+    function's values are one fold over it, ``values[i] =
+    func.apply(values[parent[i]], paths[parent[i]], roads[i])`` in walk
+    order, so ``extend`` runs once per path. The slots pin the one walk and
+    the one census until a call on another graph or source (or another
+    function) releases them before walking (or folding).
     """
-    global _last_census
+    global _last_walk, _last_census
     if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
         raise ValueError(
             f"oracle requires a function without negative circles; {func.name!r} does not declare one"
         )
-    if _last_census[0] is graph and _last_census[1] is func and _last_census[2] == source:
-        return _last_census[3]
-    _last_census = (None, None, None, None)
-    walk = list(_walk_values(graph, source, PathSystem.simple(source), func, graph.n - 1, keep_sons=True))
-    groups = _group(walk)
-    best = {t: min(group, key=itemgetter(1)) for t, group in groups.items()}  # ties keep the first
-    census = _Census(
-        {t: value for t, (_, value, _) in best.items()},
-        {t: path for t, (path, _, _) in best.items()},
-        walk,
-        groups,
-    )
-    _last_census = (graph, func, source, census)
+    if _last_walk[0] is not graph or _last_walk[1] != source:
+        _last_walk, _last_census = (None, None, None), (None, None)
+        _last_walk = (graph, source, _Walk(graph, source))
+    elif _last_census[0] is func:
+        return _last_census[1]
+    _last_census = (None, None)
+    walk = _last_walk[2]
+    apply, paths, parent, roads = func.apply, walk.paths, walk.parent, walk.roads
+    values = [func.base]
+    for i in range(1, len(paths)):
+        p = parent[i]
+        values.append(apply(values[p], paths[p], roads[i]))
+    minimum, witness = {}, {}
+    for t, group in walk.groups.items():
+        best = min(group, key=values.__getitem__)  # ties keep the first
+        minimum[t], witness[t] = values[best], paths[best]
+    census = _Census(walk, values, minimum, witness)
+    _last_census = (func, census)
     return census
 
 
@@ -258,12 +292,13 @@ def oracle_min(graph: Graph, source: int, system: PathSystem, func: PathFunction
     never needs a circle to reach a minimum; the gate accepts declared (or
     implied) circle-freedom, which on a simple-path system holds vacuously.
     Ties keep the first path in enumeration order. Exponential: intended
-    for n up to about 10. The walk is the instance's census (see `_oracle`),
-    which later checks of the same graph, function and source read instead
-    of walking again; the result is a fresh copy each call.
+    for n up to about 10. The walk and the function's values over it are
+    kept (see `_oracle`), so later checks of the same graph and source walk
+    nothing again, and of the same function extend nothing again; the
+    result is a fresh copy each call.
     """
     census = _oracle(graph, source, system, func)
-    return OracleResult(source, dict(census.minimum), dict(census.witness), len(census.walk))
+    return OracleResult(source, dict(census.minimum), dict(census.witness), len(census.values))
 
 
 def check_property(
@@ -282,11 +317,11 @@ def check_property(
     paths together with every common extension road whose extensions stay in
     the system. The "-SP" variants restrict the hypothesis side to minimum
     paths (minima from `oracle_min`). On a simple system with a bound of at
-    least n-1 every property reads the instance's census (see `_oracle`):
-    its walk holds every path, and every son value already, so the check
-    walks and extends nothing once the census exists, and leaves that one
-    census cached. Other systems and bounds walk and extend afresh. The
-    first violation in enumeration order is reported.
+    least n-1 every property reads the function's census (see `_oracle`):
+    its walk holds every path and every son's index, and its values every
+    son's value, so the check walks and extends nothing once the census
+    exists, and leaves it cached. Other systems and bounds walk and extend
+    afresh. The first violation in enumeration order is reported.
     """
     _require_tolerance(tol)
     if prop not in DEF1_PROPERTIES:
@@ -296,24 +331,32 @@ def check_property(
     scope = f"max_roads:{max_roads}"
     if system == PathSystem.simple(source) and max_roads >= graph.n - 1:
         census = _oracle(graph, source, system, func)
-        minima, groups = census.minimum, census.groups
+        minima, values = census.minimum, census.values
+        paths, sons, groups = census.walk.paths, census.walk.sons, census.walk.groups
     else:
         minima = _oracle(graph, source, system, func).minimum if prop in _MINIMUM_HYPOTHESIS else None
-        groups = _group(
-            (path, value, _FreshSons(graph, system, func, path, value))
-            for path, value, _ in _walk_values(graph, source, system, func, max_roads)
-        )
+        members = list(_walk_values(graph, source, system, func, max_roads))
+        paths = [path for path, _ in members]
+        values = [value for _, value in members]
+        sons = [_FreshSons(system, func, path, value, values) for path, value in members]
+        groups = {}
+        for i, path in enumerate(paths):
+            groups.setdefault(path.terminal, []).append(i)
 
+    # members are indices into paths and values; sons[i].get(key) is the index of member i's son by that road
     if prop in (NDSP, INSP):
         for t, group in sorted(groups.items()):
-            for path, value, sons in group:
+            for i in group:
+                value = values[i]
                 if not _close(value, minima[t], tol):
                     continue
                 for road in graph.out_roads(t):
-                    if road.key not in sons:
+                    j = sons[i].get(road.key)
+                    if j is None:
                         continue
-                    son_value = sons[road.key]
+                    son_value = values[j]
                     if son_value < value - tol:
+                        path = paths[i]
                         witness = (
                             f"P={format_path(path)} f={value!r}; "
                             f"son via k{road.key} f={son_value!r}"
@@ -328,30 +371,31 @@ def check_property(
 
     for t, group in sorted(groups.items()):
         for road in graph.out_roads(t):
-            extended = [(path, value, sons[road.key]) for path, value, sons in group if road.key in sons]
-            for path_a, value_a, ext_a in extended:
+            key = road.key
+            extended = [(i, values[i], values[j]) for i in group if (j := sons[i].get(key)) is not None]
+            for a, value_a, ext_a in extended:
                 if minimum_side and not _close(value_a, minima[t], tol):
                     continue
-                for path_b, value_b, ext_b in extended:
-                    if path_b is path_a:
+                for b, value_b, ext_b in extended:
+                    if b == a:
                         continue
                     ordered = value_a < value_b if strict_hypothesis else value_a <= value_b
                     if ordered and ext_a > ext_b + tol:
                         witness = (
-                            f"P={format_path(path_a)} f={value_a!r}; "
-                            f"P'={format_path(path_b)} f={value_b!r}; "
-                            f"road k{road.key}: f(P+r)={ext_a!r} > f(P'+r)={ext_b!r}"
+                            f"P={format_path(paths[a])} f={value_a!r}; "
+                            f"P'={format_path(paths[b])} f={value_b!r}; "
+                            f"road k{key}: f(P+r)={ext_a!r} > f(P'+r)={ext_b!r}"
                         )
                     elif equality_clause and value_a == value_b and not _close(ext_a, ext_b, tol):
                         witness = (
-                            f"P={format_path(path_a)} = P'={format_path(path_b)} = {value_a!r}; "
-                            f"road k{road.key}: f(P+r)={ext_a!r} != f(P'+r)={ext_b!r}"
+                            f"P={format_path(paths[a])} = P'={format_path(paths[b])} = {value_a!r}; "
+                            f"road k{key}: f(P+r)={ext_a!r} != f(P'+r)={ext_b!r}"
                         )
                     else:
                         continue
                     details = {
-                        "path": path_a,
-                        "other": path_b,
+                        "path": paths[a],
+                        "other": paths[b],
                         "road": road,
                         "values": (value_a, value_b),
                         "extended": (ext_a, ext_b),
@@ -387,7 +431,7 @@ def check_no_negative_circles(
     # values[i] and vertices[i]: the value and the terminal of the current path's i-road prefix
     values: list[float] = []
     vertices: list[int] = []
-    for path, full, _ in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
+    for path, full in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
         del values[len(path) :], vertices[len(path) :]
         values.append(full)
         t = path.terminal
@@ -419,20 +463,18 @@ def check_wisp(
 
     Weak inheritance asks that each reachable vertex admit some path whose
     every prefix is a minimum path. Minimum witnesses never need circles, so
-    one pass over the instance's census (the oracle's simple-path walk, see
-    `_oracle`) marks each minimum path whose parent is marked (the trivial
-    path is). Violated when a vertex has none.
+    one pass over the function's census (its values over the oracle's
+    simple-path walk, see `_oracle`) marks each minimum path whose parent is
+    marked (the trivial path is). Violated when a vertex has none.
     """
     _require_tolerance(tol)
     census = _oracle(graph, source, system, func)
-    minimum = census.minimum
-    witnessed: set[int] = set()
-    flags: list[bool] = []  # flags[i]: the current path's i-road prefix is a witness
-    for path, value, _ in census.walk:
-        del flags[len(path) :]
-        flags.append(not flags or (flags[-1] and _close(value, minimum[path.terminal], tol)))
-        if flags[-1]:
-            witnessed.add(path.terminal)
+    minimum, values = census.minimum, census.values
+    paths, parent, roads = census.walk.paths, census.walk.parent, census.walk.roads
+    flags = [True]  # flags[i]: member i and each of its prefixes is a minimum path
+    for i in range(1, len(values)):
+        flags.append(flags[parent[i]] and _close(values[i], minimum[roads[i].head], tol))
+    witnessed = {paths[i].terminal for i, flag in enumerate(flags) if flag}
     scope = f"max_roads:{graph.n - 1}"
     missing = sorted(set(minimum) - witnessed)
     if missing:

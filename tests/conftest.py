@@ -91,7 +91,9 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
         assert path.terminal == v
         assert set(path.vertices) <= tree.covered
         if system is not None:
-            assert system.contains(path)
+            assert system.source == path.source
+            if system == PathSystem.simple(path.source):
+                assert len(set(path.vertices)) == len(path.vertices)
         if v != tree.source:
             u, key = tree.parent[v]
             assert tree.path_to(u).extended(key) == path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -213,6 +214,27 @@ class TestEda:
 
 
 class TestEmbfa:
+    def test_stays_linear_on_a_deep_ring(self):
+        # a scan builds its tail's on-path set only at a covered head, which
+        # a ring's scans meet once: building it per scan made the ring
+        # quadratic, about 38 times eda's time at this size
+        n = 4000
+        g = Graph([Vertex(v) for v in range(n)], [Road(v, v, (v + 1) % n, 1.0) for v in range(n)])
+        func, system = classic_distance(g), PathSystem.simple(0)
+
+        def best_of_three(solver):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                tree, _ = solver(g, 0, system, func)
+                times.append(time.perf_counter() - start)
+            return min(times), tree
+
+        eda_s, eda_tree = best_of_three(eda)
+        embfa_s, embfa_tree = best_of_three(embfa)
+        assert embfa_tree.value == eda_tree.value
+        assert embfa_s < 5 * eda_s
+
     def test_conservative_weights(self):
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 2.0\narc 0 2 5.0\narc 1 2 -1.0\n")
         system = PathSystem.simple(0)

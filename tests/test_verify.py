@@ -65,7 +65,7 @@ class TestEnumeratePaths:
         paths = list(enumerate_paths(diamond, 0, PathSystem.simple(0), diamond.n - 1))
         assert len(paths) == 11
         assert paths[0].roads == ()
-        assert all(p.is_simple for p in paths)
+        assert all(len(set(p.vertices)) == len(p.vertices) for p in paths)
         # complete and identical to an independent enumerator
         assert {p.roads for p in paths} == {keys for _, keys in brute_simple_paths(diamond, 0)}
 
@@ -74,7 +74,7 @@ class TestEnumeratePaths:
 
     def test_all_paths_include_revisits(self, diamond):
         paths = list(enumerate_paths(diamond, 0, PathSystem.all_paths(0), 2))
-        assert any(not p.is_simple for p in paths)
+        assert any(len(set(p.vertices)) < len(p.vertices) for p in paths)
 
     def test_bound_is_respected(self, diamond):
         for p in enumerate_paths(diamond, 0, PathSystem.all_paths(0), 2):
@@ -173,7 +173,7 @@ class TestCheckProperty:
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 0 1.0\narc 0 2 1.0\n")
 
         def extend(value, parent, road):
-            return value + road.weight - (0.0 if parent.is_simple else 100.0)
+            return value + road.weight - (0.0 if len(set(parent.vertices)) == len(parent.vertices) else 100.0)
 
         func = PathFunction("circle-bonus", 0.0, extend, frozenset({NO_NEGATIVE_CIRCLES}))
         assert check_property(g, 0, PathSystem.simple(0), func, "SOPSP").verdict == NO_VIOLATION
@@ -499,11 +499,49 @@ class TestCensus:
         g = generate_random(8, 20, 0.0, 10.0, "undirected", 4)
         func = anti_risk(g)
         census_reports(g, 0, func)
-        census = minpath.verify._last_census[3]
-        assert census.walk and all(sons is not None for _, _, sons in census.walk)
+        census = minpath.verify._last_census[1]
+        walk = census.walk
+        simple = list(enumerate_paths(g, 0, PathSystem.simple(0), g.n - 1))
+        assert walk.paths == simple
+        assert len(walk.parent) == len(walk.roads) == len(walk.sons) == len(census.values) == len(simple)
+        for i, path in enumerate(walk.paths):
+            assert census.values[i] == path_value(func, path)
+            on_path = set(path.vertices)
+            admitted = [road.key for road in g.out_roads(path.terminal) if road.head not in on_path]
+            assert list(walk.sons[i]) == admitted
+            for key, j in walk.sons[i].items():
+                assert (walk.parent[j], walk.roads[j].key) == (i, key)
+                assert walk.paths[j] == path.extended(key)
+        assert walk.groups == {t: [i for i, p in enumerate(simple) if p.terminal == t] for t in walk.groups}
+        assert sorted(i for group in walk.groups.values() for i in group) == list(range(len(simple)))
         for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
-            walk = list(_walk_values(g, 0, system, func, 4))
-            assert walk and all(sons is None for _, _, sons in walk)
+            pairs = list(_walk_values(g, 0, system, func, 4))
+            assert pairs and all(len(pair) == 2 for pair in pairs)
+
+    def test_functions_on_one_graph_and_source_share_one_walk(self):
+        g = generate_random(8, 20, 0.0, 10.0, "directed", 4)
+        walks = []
+        for func in (anti_risk(g), blocked_cost(g, 0.3), expected_cost(g, 0.7)):
+            census_reports(g, 0, func)
+            walks.append(minpath.verify._last_census[1].walk)
+        assert walks[0] is walks[1] is walks[2]
+        census_reports(g, 1, classic_distance(g))
+        assert minpath.verify._last_census[1].walk is not walks[0]
+
+    def test_another_graph_releases_the_walk_before_walking(self, diamond, monkeypatch):
+        oracle_min(diamond, 0, PathSystem.simple(0), classic_distance(diamond))
+        released = weakref.ref(minpath.verify._last_walk[2])
+        seen = []
+        extended = Path.extended
+
+        def watched(path, key):
+            seen.append(released() is None)
+            return extended(path, key)
+
+        monkeypatch.setattr(Path, "extended", watched)
+        twin = parse_graph(serialize_graph(diamond))  # an equal graph, another object
+        oracle_min(twin, 0, PathSystem.simple(0), classic_distance(twin))
+        assert seen and all(seen)
 
     def test_the_next_walk_releases_the_previous_census(self, diamond):
         system = PathSystem.simple(0)
@@ -586,26 +624,53 @@ def naive_check(graph, func, prop, bound, tol=1e-9):
     return NO_VIOLATION, None, repr(None)
 
 
+BUILDERS = {
+    "classic": classic_distance,
+    "antirisk": anti_risk,
+    "expected-cost": lambda g: expected_cost(g, 0.7),
+    "parity": parity_length,
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(3, 6),
     data=st.data(),
     mode=st.sampled_from(["directed", "undirected"]),
     high=st.sampled_from([10.0, 2.0]),
-    kind=st.sampled_from(["classic", "antirisk", "expected-cost", "parity"]),
+    kind=st.sampled_from(sorted(BUILDERS)),
     longer=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 def test_census_checks_match_a_naive_scan(n, data, mode, high, kind, longer, seed):
     g = generate_random(n, data.draw(st.integers(n, 2 * n)), 0.0, high, mode, seed)
-    builders = {
-        "classic": classic_distance,
-        "antirisk": anti_risk,
-        "expected-cost": lambda g: expected_cost(g, 0.7),
-        "parity": parity_length,
-    }
-    func = builders[kind](g)
+    func = BUILDERS[kind](g)
     max_roads = n + 1 if longer else None
     for prop in DEF1_PROPERTIES:
         report = check_property(g, 0, PathSystem.simple(0), func, prop, max_roads=max_roads)
         assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, n - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    kinds=st.lists(st.sampled_from(sorted(BUILDERS)), min_size=2, max_size=3),
+    seed=st.integers(0, 10_000),
+)
+def test_interleaved_functions_on_one_walk_match_a_naive_scan(n, data, mode, kinds, seed):
+    # functions checked in any interleaving on one graph and source share
+    # one walk; each still reports exactly what a direct scan finds
+    g = generate_random(n, data.draw(st.integers(n, 2 * n)), 0.0, 10.0, mode, seed)
+    funcs = [BUILDERS[kind](g) for kind in kinds]
+    system = PathSystem.simple(0)
+    steps = st.tuples(st.integers(0, len(funcs) - 1), st.sampled_from(DEF1_PROPERTIES))
+    for f, prop in data.draw(st.lists(steps, min_size=2, max_size=10)):
+        func = funcs[f]
+        report = check_property(g, 0, system, func, prop)
+        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, n - 1)
+        minimum = {}
+        for path in enumerate_paths(g, 0, system, n - 1):
+            minimum[path.terminal] = min(minimum.get(path.terminal, INF), path_value(func, path))
+        assert oracle_min(g, 0, system, func).minimum == minimum
