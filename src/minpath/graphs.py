@@ -144,8 +144,9 @@ def parse_graph(text: str) -> Graph:
         edge <u> <v> <w>     expands to two roads, u->v then v->u
 
     Road keys are assigned 0,1,2,... in expanded order. Self-loops are
-    rejected: no algorithm here can ever use one and they would complicate
-    the circle bookkeeping for no gain.
+    rejected: the simple system never admits one, and the graph generator
+    makes none. A `Graph` built in code may still hold one: over all paths
+    it is a one-road circle, and embfa reports it if it lowers a value.
     """
     header: tuple[int, int] | None = None
     seen_vertices: dict[int, Vertex] = {}
@@ -214,7 +215,8 @@ def serialize_graph(graph: Graph) -> str:
 
     Undirected edges are not reconstructed. Keys are positional on reparse,
     so round-tripping is exact for graphs whose keys are dense (every parsed
-    or generated graph; graphs that went through `remove_road` re-key).
+    or generated graph; graphs that went through `remove_road` re-key) and
+    that hold no self-loop, whose line `parse_graph` rejects.
     """
     lines = [f"g {graph.n} {graph.m}"]
     for v in graph.vertices:

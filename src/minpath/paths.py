@@ -219,7 +219,7 @@ class PathFunction:
 
 
 # Every path costs 0: all candidates tie, so label setting falls back on its
-# tie-break alone. `sta` and `enumerate_paths` walk with it.
+# tie-break alone. `sta` walks with it.
 ZERO_COST = PathFunction("zero", 0.0, lambda value, parent, road: 0.0, frozenset({NDSP, SOP, WISP}))
 
 

@@ -7,11 +7,13 @@ the quantified definitions exhaustively within an enumeration bound: a
 ``no-violation-found`` verdict is bounded evidence, not proof, while a
 ``violated`` verdict always carries a concrete witness.
 
-The oracle walks the simple paths of a graph and source once, and folds
-each function's values over that walk once (see `_oracle`): `oracle_min`,
-`check_wisp` and `check_property` on the simple system read that census, so
-checking several functions on one graph and source walks its simple paths
-once and extends each of them once per function.
+One depth-first generator, `_walk`, streams the members of a path system
+within a bound; every walk here reads it. The oracle records the simple
+paths of a graph and source from it once, and folds each function's values
+over that record once (see `_oracle`): `oracle_min`, `check_wisp` and
+`check_property` on the simple system read that census, so checking
+several functions on one graph and source walks its simple paths once and
+extends each of them once per function.
 
 Value comparisons use an absolute tolerance (default 1e-9), which must be
 finite and nonnegative; 0.0 compares exactly. Conclusions of
@@ -24,7 +26,9 @@ genuine non-positive circle and is reported.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .graphs import Graph, Road
@@ -36,11 +40,11 @@ from .paths import (
     NO_NONPOSITIVE_CIRCLES,
     OP,
     OPSP,
+    SIMPLE,
     SOP,
     SOPSP,
     WOP,
     WOPSP,
-    ZERO_COST,
     Path,
     PathFunction,
     PathSystem,
@@ -113,42 +117,36 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
     Children are visited in road-key order and the trivial path comes
     first, so the stream order is deterministic and complete for the bound.
     """
-    return (path for path, _ in _walk_values(graph, source, system, ZERO_COST, max_roads))
+    return (path for path, _ in _walk(graph, source, system, max_roads))
 
 
-def _walk_values(
-    graph: Graph,
-    source: int,
-    system: PathSystem,
-    func: PathFunction,
-    max_roads: int,
-) -> Iterator[tuple[Path, float]]:
-    """(member, value) pairs in `enumerate_paths` order, each value one
-    checked extension of its parent's."""
+def _walk(graph: Graph, source: int, system: PathSystem, max_roads: int) -> Iterator[tuple[Path, Road | None]]:
+    """(member, its last road) pairs in `enumerate_paths` order; the trivial
+    path comes first, with road None. The one depth-first loop here."""
     if max_roads < 0:
         raise ValueError("max_roads must be nonnegative")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
 
-    def walk() -> Iterator[tuple[Path, float]]:
+    def walk() -> Iterator[tuple[Path, Road | None]]:
         root = Path(graph, source)
-        yield root, func.base
-        # one entry per path on the current branch: its value and its
-        # remaining roads, so each yield costs O(1) whatever the depth
-        stack = [(root, func.base, iter(graph.out_roads(source)))] if max_roads else []
-        # the branch's vertices: exact on the simple system, the one system whose `admits` reads them
-        on_branch = {source}
+        yield root, None
+        simple = system.kind == SIMPLE
+        # one entry per path on the current branch: it and its remaining
+        # roads, so each yield costs O(1) whatever the depth
+        stack = [(root, iter(graph.out_roads(source)))] if max_roads else []
+        on_branch = {source}  # the branch's vertices: exact on the simple system, which reads them
         while stack:
-            path, value, roads = stack[-1]
+            path, roads = stack[-1]
             for road in roads:
-                if not system.admits(road.head, on_branch):
+                head = road.head
+                if simple and head in on_branch:
                     continue
                 child = path.extended(road.key)
-                child_value = func.apply(value, path, road)
-                yield child, child_value
-                if len(child) < max_roads:
-                    stack.append((child, child_value, iter(graph.out_roads(road.head))))
-                    on_branch.add(road.head)
+                yield child, road
+                if child._length < max_roads:
+                    stack.append((child, iter(graph.out_roads(head))))
+                    on_branch.add(head)
                 break
             else:
                 stack.pop()
@@ -159,8 +157,9 @@ def _walk_values(
 
 class _FreshSons:
     """A member's sons by road key, each admitted and valued on request, for
-    a walk whose bound may cut admitted sons off. Like a walk's ``sons``
-    entry, `get` gives the son's index in ``values``: it appends the value."""
+    a member at its walk's bound, whose sons the walk cut off. Like a walk's
+    ``sons`` entry, `get` gives the son's index in ``values``: it appends the
+    value."""
 
     __slots__ = ("system", "func", "path", "value", "values", "on_path")
 
@@ -182,46 +181,56 @@ class _FreshSons:
         return len(self.values) - 1
 
 
+_NO_SONS = MappingProxyType({})  # the sons of every member at a walk's bound, shared
+
+
 class _Walk:
-    """Every simple path from one source, in `enumerate_paths` order.
+    """The members of ``system`` with at most ``max_roads`` roads, in
+    `enumerate_paths` order.
 
     Member i is ``paths[i]``: member ``parent[i]`` extended by road
     ``roads[i]`` (the trivial path, member 0, has neither). ``sons[i]`` maps
-    the key of each road that extends member i into another simple path to
-    that son's index, and ``groups`` maps each terminal to its members'
-    indices in walk order. The walk goes to depth n-1, where a simple path
-    has no son, so every member's sons are complete.
+    the key of each road that extends member i into another member to that
+    son's index, and ``groups`` maps each terminal to its members' indices
+    in walk order. Every member below the bound has all its sons; a member
+    at the bound has none.
     """
 
     __slots__ = ("paths", "parent", "roads", "sons", "groups", "__weakref__")
 
-    def __init__(self, graph: Graph, source: int):
-        self.paths = paths = [Path(graph, source)]
+    def __init__(self, graph: Graph, source: int, system: PathSystem, max_roads: int):
+        members = _walk(graph, source, system, max_roads)
+        root, _ = next(members)
+        self.paths = paths = [root]
         self.parent = parent = [-1]
         self.roads = roads = [None]
-        self.sons = sons = [{}]
-        self.groups = groups = {source: [0]}
-        stack = [(0, iter(graph.out_roads(source)))]  # the current branch's members and their remaining roads
-        on_branch = {source}  # the current branch's vertices, which no son revisits
-        while stack:
-            i, out = stack[-1]
-            for road in out:
-                head = road.head
-                if head in on_branch:
-                    continue
-                j = len(paths)
-                paths.append(paths[i].extended(road.key))
-                parent.append(i)
-                roads.append(road)
-                sons[i][road.key] = j
-                sons.append({})
-                groups.setdefault(head, []).append(j)
-                stack.append((j, iter(graph.out_roads(head))))
-                on_branch.add(head)
-                break
-            else:
-                stack.pop()
-                on_branch.discard(paths[i].terminal)
+        self.sons = sons = [{} if max_roads else _NO_SONS]
+        self.groups = groups = defaultdict(list)
+        groups[source].append(0)
+        branch = [0]  # branch[d]: the index of the current branch's member with d roads
+        for i, (path, road) in enumerate(members, 1):
+            depth = path._length
+            p = branch[depth - 1]
+            del branch[depth:]
+            branch.append(i)
+            parent.append(p)
+            sons[p][road.key] = i
+            paths.append(path)
+            roads.append(road)
+            sons.append({} if depth < max_roads else _NO_SONS)
+            groups[road.head].append(i)
+
+
+def _fold(walk: _Walk, func: PathFunction) -> list[float]:
+    """``func``'s value of every member of ``walk``, indexed like it: ``values[i]
+    = func.apply(values[parent[i]], paths[parent[i]], roads[i])`` in walk
+    order, so ``extend`` runs once per member other than the trivial path."""
+    apply, paths, parent, roads = func.apply, walk.paths, walk.parent, walk.roads
+    values = [func.base]
+    for i in range(1, len(paths)):
+        p = parent[i]
+        values.append(apply(values[p], paths[p], roads[i]))
+    return values
 
 
 class _Census(NamedTuple):
@@ -253,11 +262,10 @@ def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -
     always the simple system's, to depth n-1. The walk depends only on the
     identity of ``graph`` and on ``source``, so `oracle_min`, `check_property`
     and `check_wisp` share it across every function checked there; each
-    function's values are one fold over it, ``values[i] =
-    func.apply(values[parent[i]], paths[parent[i]], roads[i])`` in walk
-    order, so ``extend`` runs once per path. The slots pin the one walk and
-    the one census until a call on another graph or source (or another
-    function) releases them before walking (or folding).
+    function's values are one `_fold` over it, so ``extend`` runs once per
+    path. The slots pin the one walk and the one census until a call on
+    another graph or source (or another function) releases them before
+    walking (or folding).
     """
     global _last_walk, _last_census
     if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
@@ -266,20 +274,16 @@ def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -
         )
     if _last_walk[0] is not graph or _last_walk[1] != source:
         _last_walk, _last_census = (None, None, None), (None, None)
-        _last_walk = (graph, source, _Walk(graph, source))
+        _last_walk = (graph, source, _Walk(graph, source, PathSystem.simple(source), graph.n - 1))
     elif _last_census[0] is func:
         return _last_census[1]
     _last_census = (None, None)
     walk = _last_walk[2]
-    apply, paths, parent, roads = func.apply, walk.paths, walk.parent, walk.roads
-    values = [func.base]
-    for i in range(1, len(paths)):
-        p = parent[i]
-        values.append(apply(values[p], paths[p], roads[i]))
+    values = _fold(walk, func)
     minimum, witness = {}, {}
     for t, group in walk.groups.items():
         best = min(group, key=values.__getitem__)  # ties keep the first
-        minimum[t], witness[t] = values[best], paths[best]
+        minimum[t], witness[t] = values[best], walk.paths[best]
     census = _Census(walk, values, minimum, witness)
     _last_census = (func, census)
     return census
@@ -320,8 +324,10 @@ def check_property(
     least n-1 every property reads the function's census (see `_oracle`):
     its walk holds every path and every son's index, and its values every
     son's value, so the check walks and extends nothing once the census
-    exists, and leaves it cached. Other systems and bounds walk and extend
-    afresh. The first violation in enumeration order is reported.
+    exists, and leaves it cached. Other systems and bounds build their own
+    walk within the bound and fold the function over it, uncached; only a
+    member at the bound, whose sons the walk cut off, admits and values its
+    sons on request. The first violation in enumeration order is reported.
     """
     _require_tolerance(tol)
     if prop not in DEF1_PROPERTIES:
@@ -331,17 +337,15 @@ def check_property(
     scope = f"max_roads:{max_roads}"
     if system == PathSystem.simple(source) and max_roads >= graph.n - 1:
         census = _oracle(graph, source, system, func)
-        minima, values = census.minimum, census.values
-        paths, sons, groups = census.walk.paths, census.walk.sons, census.walk.groups
+        minima, walk, values = census.minimum, census.walk, census.values
     else:
         minima = _oracle(graph, source, system, func).minimum if prop in _MINIMUM_HYPOTHESIS else None
-        members = list(_walk_values(graph, source, system, func, max_roads))
-        paths = [path for path, _ in members]
-        values = [value for _, value in members]
-        sons = [_FreshSons(system, func, path, value, values) for path, value in members]
-        groups = {}
-        for i, path in enumerate(paths):
-            groups.setdefault(path.terminal, []).append(i)
+        walk = _Walk(graph, source, system, max_roads)
+        values = _fold(walk, func)
+        for i, path in enumerate(walk.paths):  # this walk is uncached: members at the bound get sons on request
+            if walk.sons[i] is _NO_SONS:
+                walk.sons[i] = _FreshSons(system, func, path, values[i], values)
+    paths, sons, groups = walk.paths, walk.sons, walk.groups
 
     # members are indices into paths and values; sons[i].get(key) is the index of member i's son by that road
     if prop in (NDSP, INSP):
@@ -428,11 +432,13 @@ def check_no_negative_circles(
     name = NO_NONPOSITIVE_CIRCLES if strict else NO_NEGATIVE_CIRCLES
     scope = f"max_roads:{max_roads}"
 
-    # values[i] and vertices[i]: the value and the terminal of the current path's i-road prefix
+    # values[i] and vertices[i]: the value and the terminal of the current path's i-road prefix,
+    # each value one checked extension of the one before
     values: list[float] = []
     vertices: list[int] = []
-    for path, full in _walk_values(graph, source, PathSystem.all_paths(source), func, max_roads):
+    for path, road in _walk(graph, source, PathSystem.all_paths(source), max_roads):
         del values[len(path) :], vertices[len(path) :]
+        full = func.base if road is None else func.apply(values[-1], path._prefix, road)
         values.append(full)
         t = path.terminal
         vertices.append(t)
@@ -494,7 +500,7 @@ def compare_tree_to_oracle(tree, oracle: OracleResult, tol: float = 1e-9) -> Pro
     if tree.source != oracle.source:
         raise ValueError("mismatched sources")
     scope = f"tolerance:{tol!r}"
-    tree_covered = set(tree.covered)
+    tree_covered = set(tree.paths)
     oracle_covered = set(oracle.minimum)
     if tree_covered != oracle_covered:
         only_tree = sorted(tree_covered - oracle_covered)

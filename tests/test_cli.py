@@ -276,6 +276,41 @@ class TestVerify:
         assert main(argv + extra + checks) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed, extra, code, digest", [
+        (1, ["--function", "antirisk", "--max-roads", "3"], 0,
+         "65cd7971a55bfb76dabe2431bff696c6863f025d4293a8e6c9a74cea5c39b4f1"),
+        (1, ["--function", "classic", "--system", "all", "--max-roads", "3"], 0,
+         "65cd7971a55bfb76dabe2431bff696c6863f025d4293a8e6c9a74cea5c39b4f1"),
+        (4, ["--function", "expected-cost", "--p", "0.7", "--max-roads", "3"], 2,
+         "55b1646a605d3b660aab4d4d4b57b9d208c2196b1c68b3201f355e382ea9991a"),
+    ], ids=["antirisk-simple", "classic-all", "expected-cost-violated"])
+    def test_off_census_pinned_output(self, tmp_path, capsys, seed, extra, code, digest):
+        # digests of the 9-line stdout with all eight Def. 1 properties below
+        # the census's bound, or on all paths, recorded before verify's walks
+        # shared one depth-first generator
+        assert main(["gen", "--n", "8", "--m", "20", "--seed", str(seed)]) == 0
+        graph_file = tmp_path / f"g{seed}.g"
+        graph_file.write_text(capsys.readouterr().out)
+        checks = [flag for name in PROPERTY_CHECKS[:8] for flag in ("--property", name)]
+        assert main(["verify", "--graph", str(graph_file), "--source", "0"] + extra + checks) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, extra, code, digest", [
+        (1, ["--function", "antirisk", "--property", "no-negative-circles"], 0,
+         "12273550d0b05eb6c20e027db43f0791671711af45bd3f2a083b2f0d39e83cbf"),
+        (4, ["--function", "expected-cost", "--p", "0.7",
+             "--property", "no-negative-circles", "--property", "no-non-positive-circles"], 2,
+         "3f4ca818ad6e5df3b3b530fef29245934a2aa3a5d96c6ed5dd691204da29f82f"),
+    ], ids=["antirisk", "expected-cost-violated"])
+    def test_circle_checks_pinned_output(self, tmp_path, capsys, seed, extra, code, digest):
+        # digests of the stdout at the default bound, n+2, recorded before
+        # verify's walks shared one depth-first generator
+        assert main(["gen", "--n", "8", "--m", "20", "--seed", str(seed)]) == 0
+        graph_file = tmp_path / f"g{seed}.g"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["verify", "--graph", str(graph_file), "--source", "0"] + extra) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestGen:
     def test_deterministic_and_reparseable(self, capsys, tmp_path):

@@ -31,6 +31,7 @@ from minpath import (
     expected_cost,
     format_path,
     generate_random,
+    implied_properties,
     oracle_min,
     parity_length,
     parse_graph,
@@ -38,7 +39,7 @@ from minpath import (
     serialize_graph,
 )
 from minpath.paths import INF, INSP, NDSP, NO_NEGATIVE_CIRCLES, OP, OPSP, SOP, SOPSP, WISP, WOP, WOPSP
-from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED, _walk_values
+from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED, _walk
 
 from conftest import brute_simple_paths, random_instances
 
@@ -515,8 +516,10 @@ class TestCensus:
         assert walk.groups == {t: [i for i, p in enumerate(simple) if p.terminal == t] for t in walk.groups}
         assert sorted(i for group in walk.groups.values() for i in group) == list(range(len(simple)))
         for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
-            pairs = list(_walk_values(g, 0, system, func, 4))
-            assert pairs and all(len(pair) == 2 for pair in pairs)
+            # every member with its last road; only the trivial path has none
+            pairs = list(_walk(g, 0, system, 4))
+            assert len(pairs) > 1 and pairs[0] == (Path(g, 0), None)
+            assert all(road is not None and road.key == path.roads[-1] for path, road in pairs[1:])
 
     def test_functions_on_one_graph_and_source_share_one_walk(self):
         g = generate_random(8, 20, 0.0, 10.0, "directed", 4)
@@ -565,18 +568,22 @@ class TestCensus:
             oracle_min(diamond, 0, PathSystem.all_paths(0), parity)
 
 
-def naive_check(graph, func, prop, bound, tol=1e-9):
+def naive_check(graph, func, prop, system=None, bound=None, tol=1e-9):
     """(verdict, witness, repr(details)) of one property by a direct scan:
-    every simple path re-folded by `path_value`, every son and every
-    extension built and re-folded, every ordered pair compared."""
-    paths = list(enumerate_paths(graph, 0, PathSystem.simple(0), bound))
+    every member of ``system`` (default simple) within ``bound`` (default
+    n-1) re-folded by `path_value`, every son and every extension built and
+    re-folded, every ordered pair compared. Minima come from every simple
+    path, whatever the system and bound."""
+    simple = PathSystem.simple(0)
+    system = system or simple
+    paths = list(enumerate_paths(graph, 0, system, graph.n - 1 if bound is None else bound))
     value = {path.roads: path_value(func, path) for path in paths}
     minimum = {}
-    for path in paths:
-        minimum[path.terminal] = min(minimum.get(path.terminal, INF), value[path.roads])
+    for path in enumerate_paths(graph, 0, simple, graph.n - 1):
+        minimum[path.terminal] = min(minimum.get(path.terminal, INF), path_value(func, path))
 
     def admitted(path, road):
-        return road.head not in path.vertices
+        return system != simple or road.head not in path.vertices
 
     def extended(path, road):
         return path_value(func, path.extended(road.key))
@@ -648,7 +655,35 @@ def test_census_checks_match_a_naive_scan(n, data, mode, high, kind, longer, see
     max_roads = n + 1 if longer else None
     for prop in DEF1_PROPERTIES:
         report = check_property(g, 0, PathSystem.simple(0), func, prop, max_roads=max_roads)
-        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, n - 1)
+        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    data=st.data(),
+    mode=st.sampled_from(["directed", "undirected"]),
+    high=st.sampled_from([10.0, 2.0]),
+    kind=st.sampled_from(sorted(BUILDERS)),
+    every=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_off_census_checks_match_a_naive_scan(n, data, mode, high, kind, every, seed):
+    # another system, or a bound below n-1: the check walks that system within
+    # its bound, yet takes the "-SP" minima from every simple path
+    g = generate_random(n, data.draw(st.integers(n, 2 * n)), 0.0, high, mode, seed)
+    func = BUILDERS[kind](g)
+    system = PathSystem.all_paths(0) if every else PathSystem.simple(0)
+    bound = data.draw(st.integers(0, 3 if every else n - 2))
+    gated = NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system)
+    for prop in DEF1_PROPERTIES:
+        if gated and prop in (NDSP, INSP, SOPSP, OPSP, WOPSP):
+            with pytest.raises(ValueError, match="negative circles"):
+                check_property(g, 0, system, func, prop, max_roads=bound)
+            continue
+        report = check_property(g, 0, system, func, prop, max_roads=bound)
+        assert report.scope == f"max_roads:{bound}"
+        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, system, bound)
 
 
 @settings(max_examples=50, deadline=None)
@@ -669,7 +704,7 @@ def test_interleaved_functions_on_one_walk_match_a_naive_scan(n, data, mode, kin
     for f, prop in data.draw(st.lists(steps, min_size=2, max_size=10)):
         func = funcs[f]
         report = check_property(g, 0, system, func, prop)
-        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, n - 1)
+        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop)
         minimum = {}
         for path in enumerate_paths(g, 0, system, n - 1):
             minimum[path.terminal] = min(minimum.get(path.terminal, INF), path_value(func, path))
