@@ -142,10 +142,6 @@ def _build_function(graph, name: str, p: float | None):
     return expected_cost(graph, p)
 
 
-def _system(kind: str, source: int) -> PathSystem:
-    return PathSystem.simple(source) if kind == "simple" else PathSystem.all_paths(source)
-
-
 def _solve(graph, source, algorithm, system, func):
     if algorithm == "sta":
         tree = sta(graph, source)
@@ -157,7 +153,7 @@ def _solve(graph, source, algorithm, system, func):
 
 def _cmd_solve(args) -> int:
     graph = _load_graph(args.graph)
-    system = _system(args.system, args.source)
+    system = PathSystem(args.system, args.source)
     func = _build_function(graph, args.function, args.p)
     tree, stats = _solve(graph, args.source, args.algorithm, system, func)
     sys.stdout.write(format_tree(tree, stats))
@@ -168,7 +164,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     graph = _load_graph(args.graph)
-    system = _system(args.system, args.source)
+    system = PathSystem(args.system, args.source)
     func = _build_function(graph, args.function, args.p)
     result = verify_mod.oracle_min(graph, args.source, system, func)
     for v in sorted(result.minimum):
@@ -184,7 +180,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("nothing to verify: pass --against oracle and/or --property NAME")
     verify_mod._require_tolerance(args.tolerance)  # before any loading or solving
     graph = _load_graph(args.graph)
-    system = _system(args.system, args.source)
+    system = PathSystem(args.system, args.source)
     func = _build_function(graph, args.function, args.p)
     reports = []
     if args.against == "oracle":
@@ -230,7 +226,7 @@ def _cmd_bench(args) -> int:
     lo, hi = args.weights
     for seed in args.seed:
         graph = generate_random(args.n, args.m, lo, hi, args.mode, seed)
-        system = _system(args.system, args.source)
+        system = PathSystem(args.system, args.source)
         func = _build_function(graph, args.function, args.p)
         start = time.perf_counter()
         _, stats = _solve(graph, args.source, args.algorithm, system, func)

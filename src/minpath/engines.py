@@ -106,12 +106,6 @@ class ShortestPathTree:
     def order(self) -> list[int]:
         return list(self.paths)
 
-    def path_to(self, vertex: int) -> Path:
-        """The tree path to a covered vertex."""
-        if vertex not in self.paths:
-            raise ValueError(f"vertex {vertex} is not covered by the tree")
-        return self.paths[vertex]
-
 
 def _check_source(graph: Graph, source: int, system: PathSystem) -> None:
     if not 0 <= source < graph.n:
@@ -172,7 +166,7 @@ def eda(
     stats = RunStats()
     value: dict[int, float] = {source: func.base}
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
-    labels: dict[int, tuple[float, int, int]] = {}  # best (value, tail, key) per frontier vertex
+    labels: dict[int, tuple[float, int, int, int]] = {}  # best frontier entry per uncovered vertex
     frontier: list[tuple[float, int, int, int]] = []  # (value, vertex, tail, key), lazily deleted
 
     def scan(u: int) -> None:
@@ -185,10 +179,10 @@ def eda(
             # u's tree path holds only covered vertices, so it admits an uncovered v
             candidate = func.apply(value_u, path_u, road)
             stats.extend_calls += 1
-            label = (candidate, u, road.key)
+            label = (candidate, v, u, road.key)
             if v not in labels or label < labels[v]:
                 labels[v] = label
-                heapq.heappush(frontier, (candidate, v, u, road.key))
+                heapq.heappush(frontier, label)
                 stats.relaxations += 1
 
     scan(source)

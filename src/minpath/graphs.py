@@ -150,7 +150,6 @@ def parse_graph(text: str) -> Graph:
     """
     header: tuple[int, int] | None = None
     seen_vertices: dict[int, Vertex] = {}
-    vertex_order: list[Vertex] = []
     roads: list[Road] = []
     declared_lines = 0
 
@@ -180,9 +179,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(f"vertex id {vid} out of range", lineno)
             if vid in seen_vertices:
                 raise GraphFormatError(f"duplicate vertex id {vid}", lineno)
-            vertex = Vertex(vid, tokens[2] if len(tokens) == 3 else None)
-            seen_vertices[vid] = vertex
-            vertex_order.append(vertex)
+            seen_vertices[vid] = Vertex(vid, tokens[2] if len(tokens) == 3 else None)
         elif keyword in ("arc", "edge"):
             if len(tokens) != 4:
                 raise GraphFormatError(f"syntax error: expected '{keyword} <from> <to> <weight>'", lineno)
@@ -207,7 +204,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"expected {n} vertex lines, found {len(seen_vertices)}")
     if declared_lines != m_declared:
         raise GraphFormatError(f"declared {m_declared} road lines, found {declared_lines}")
-    return Graph(vertex_order, roads)
+    return Graph(list(seen_vertices.values()), roads)
 
 
 def serialize_graph(graph: Graph) -> str:
@@ -215,13 +212,16 @@ def serialize_graph(graph: Graph) -> str:
 
     Undirected edges are not reconstructed. Keys are positional on reparse,
     so round-tripping is exact for graphs whose keys are dense (every parsed
-    or generated graph; graphs that went through `remove_road` re-key) and
-    that hold no self-loop, whose line `parse_graph` rejects.
+    or generated graph; a graph that went through `remove_road` is re-keyed).
+    Raises ValueError on a self-loop road, since `parse_graph` rejects its
+    line: the text format holds no self-loop.
     """
     lines = [f"g {graph.n} {graph.m}"]
     for v in graph.vertices:
         lines.append(f"v {v.id}" if v.label is None else f"v {v.id} {v.label}")
     for r in graph.roads:
+        if r.tail == r.head:
+            raise ValueError(f"road {r.key} is a self-loop at vertex {r.tail}, which the text format cannot hold")
         lines.append(f"arc {r.tail} {r.head} {r.weight!r}")
     return "\n".join(lines) + "\n"
 
@@ -338,31 +338,19 @@ def generate_random(
         raise ValueError("conservative mode requires weight_low >= 0")
 
     rng = random.Random(seed)
-
-    def endpoints() -> tuple[int, int]:
+    if mode == "conservative":
+        span = 2.0 * max(weight_high, 1.0)
+        potential = [rng.uniform(0.0, span) for _ in range(n)]
+    roads: list[Road] = []
+    for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n - 1)
         if v >= u:
             v += 1
-        return u, v
-
-    vertices = [Vertex(i) for i in range(n)]
-    roads: list[Road] = []
-    if mode == "undirected":
-        for _ in range(m):
-            u, v = endpoints()
-            w = rng.uniform(weight_low, weight_high)
-            roads.append(Road(len(roads), u, v, w))
+        w = rng.uniform(weight_low, weight_high)
+        if mode == "conservative":
+            w = w + potential[u] - potential[v]
+        roads.append(Road(len(roads), u, v, w))
+        if mode == "undirected":
             roads.append(Road(len(roads), v, u, w))
-    elif mode == "conservative":
-        span = 2.0 * max(weight_high, 1.0)
-        potential = [rng.uniform(0.0, span) for _ in range(n)]
-        for _ in range(m):
-            u, v = endpoints()
-            cost = rng.uniform(weight_low, weight_high)
-            roads.append(Road(len(roads), u, v, cost + potential[u] - potential[v]))
-    else:
-        for _ in range(m):
-            u, v = endpoints()
-            roads.append(Road(len(roads), u, v, rng.uniform(weight_low, weight_high)))
-    return Graph(vertices, roads)
+    return Graph([Vertex(i) for i in range(n)], roads)

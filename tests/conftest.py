@@ -86,7 +86,7 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
     assert set(tree.order) == tree.covered
     assert len(tree.order) == len(tree.covered)
     for v in sorted(tree.covered):
-        path = tree.path_to(v)
+        path = tree.paths[v]
         assert path.source == tree.source
         assert path.terminal == v
         assert set(path.vertices) <= tree.covered
@@ -96,7 +96,7 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
                 assert len(set(path.vertices)) == len(path.vertices)
         if v != tree.source:
             u, key = tree.parent[v]
-            assert tree.path_to(u).extended(key) == path
+            assert tree.paths[u].extended(key) == path
         if func is not None:
             assert path_value(func, path) == tree.value[v]
     if stats is not None and extend_budget is not None:

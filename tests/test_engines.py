@@ -149,8 +149,7 @@ class TestEda:
         assert tree.covered == {0}
         assert tree.value == {0: 0.0}
         assert stats.extend_calls == 0
-        with pytest.raises(ValueError, match="vertex 1 is not covered by the tree"):
-            tree.path_to(1)
+        assert 1 not in tree.paths
 
     def test_monotone_values_along_tree_paths(self):
         for _, g in random_instances(10, (4, 8), seed_base=600):
@@ -209,7 +208,7 @@ class TestEda:
         finally:
             tracemalloc.stop()
         assert tree.value[n - 1] == n - 1
-        assert len(tree.path_to(n - 1)) == n - 1
+        assert len(tree.paths[n - 1]) == n - 1
         assert peak < 8 * 2**20
 
 
@@ -435,7 +434,7 @@ def test_embfa_certificate_reads_the_returned_tree(mode):
                 except PropertyRefusalError:
                     continue
                 count = sum(
-                    func.extend(tree.value[u], tree.path_to(u), road) < tree.value.get(road.head, INF)
+                    func.extend(tree.value[u], tree.paths[u], road) < tree.value.get(road.head, INF)
                     for u in tree.covered
                     for road in g.out_roads(u)
                 )
@@ -578,7 +577,7 @@ class TestFormatTree:
 def per_vertex_format(tree, stats):
     """`format_tree`'s text with every path serialized whole by `format_path`."""
     lines = [
-        f"{v} value={repr(tree.value[v]) if v in tree.value else '-'} path={format_path(tree.path_to(v))}"
+        f"{v} value={repr(tree.value[v]) if v in tree.value else '-'} path={format_path(tree.paths[v])}"
         for v in sorted(tree.covered)
     ]
     return "\n".join(lines + [stats.format()]) + "\n"

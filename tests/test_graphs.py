@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -105,6 +106,12 @@ class TestRoundTrip:
         assert again == g
         assert [r.key for r in again.roads] == [r.key for r in g.roads]
         assert all(a.weight == b.weight for a, b in zip(again.roads, g.roads))
+
+    def test_self_loop_refused(self):
+        # parse_graph rejects an arc line from a vertex to itself, so no text is written
+        g = Graph([Vertex(0), Vertex(1), Vertex(2)], [Road(0, 0, 1, 1.0), Road(1, 1, 1, 2.0)])
+        with pytest.raises(ValueError, match="road 1 is a self-loop at vertex 1"):
+            serialize_graph(g)
 
 
 class TestRemoveRoad:
@@ -213,6 +220,37 @@ class TestGenerate:
             for mode in ("directed", "undirected", "conservative"):
                 g = generate_random(4, 10, 0.0, 5.0, mode, seed)
                 assert all(r.tail != r.head for r in g.roads)
+
+    @pytest.mark.parametrize(
+        "mode, digests",
+        [
+            ("directed", [
+                "c4f5e472a7ab3bc929ed938e89d3d0e0b7a7d5bbb7b327ee95fca7865d2eb407",
+                "24520b2831da69afe31d5a91160172c84e32a16668257eb93a486bc976ab1983",
+                "f1565f7d89b75e89d736278a67af1b2c1b35a3fe89c73b8903bd4f81b92d46aa",
+                "86ba65e2b3060608a70c964c311c538bb60eb3df8e4d082bb610c807b4069b1e",
+                "2ec8403b528360bea39ffc5ac64870af1a809fd161f8305e49077dbb106585e2",
+            ]),
+            ("undirected", [
+                "fb1a580c97044e36d618c4a3d7283d9d02ea4f37a19dd73e0456ecd1da0d18bb",
+                "b795a27511a49724648ae0c8d65d233db12231c663ff4e07c121b6eb5d4a2bb9",
+                "5a81814944d8518d1ef36962ebf893f66123dd9b6e44e08dae87cfcbffb08c42",
+                "97cab2092cb82bffbc6642d01a503d10fdb23abffccb275640d65327aab24e54",
+                "758568a902a464fbb0b9d44f5db64c4c95386dbf5b325c03e1b8f92e3a72066f",
+            ]),
+            ("conservative", [
+                "4744191d0699d70721ce790359de70cd070bd4e1b77ce8697a7bb2bed0abd515",
+                "6f9b2a1acc02853a6bcb2518f9bf74a6b22b5683d9d00762ebcd3694028f9447",
+                "b7fda2cbe65ce10fbc10139f2201853f3655d902646d927e71c3c8dcfcfeff90",
+                "5655fda273a28d3111cb7229f6241e75ad52d655426d8ae314c81534f8c901d6",
+                "abd1a52283ebdfd410731bbd041976625ca57d936f09a2bfab77e0a056e92242",
+            ]),
+        ],
+    )
+    def test_pinned_output(self, mode, digests):
+        # sha256 of the serialized graphs for seeds 0-4, so the RNG calls keep their order
+        texts = [serialize_graph(generate_random(12, 40, 0.0, 10.0, mode, seed)) for seed in range(5)]
+        assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == digests
 
     @pytest.mark.parametrize(
         "kwargs",
