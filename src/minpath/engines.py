@@ -153,9 +153,12 @@ def eda(
     and fixes v with u as parent. Candidate values are evaluated once, when
     their tail joins the tree: a tree path never changes after that, so the
     cached per-vertex best label equals the full frontier minimum. Each
-    improved label is pushed on a heap keyed (value, vertex, tail, key);
-    entries of covered vertices are skipped when popped, so a round costs
-    O(log m) and picks the smallest value, then the smallest vertex.
+    improved label is pushed on a heap keyed (value, vertex, tail, key),
+    with the road after the key for growing v's path; entries of covered
+    vertices are skipped when popped, so a round costs O(log m) and picks
+    the smallest value, then the smallest vertex. Each result of
+    ``extend`` that is not a plain non-NaN float goes through
+    `PathFunction.checked`; the counts are kept in locals until the end.
 
     Requires a function declaring (or implying) SOPSP, WISP and NDSP; the
     flags are trusted, not re-proven. Vertices unreachable within the system
@@ -163,38 +166,42 @@ def eda(
     """
     _check_source(graph, source, system)
     _require_properties(func, system, {SOPSP, WISP, NDSP}, "eda")
-    stats = RunStats()
+    extend, checked, out = func.extend, func.checked, graph._out
+    extend_calls = relaxations = rounds = 0
     value: dict[int, float] = {source: func.base}
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
-    labels: dict[int, tuple[float, int, int, int]] = {}  # best frontier entry per uncovered vertex
-    frontier: list[tuple[float, int, int, int]] = []  # (value, vertex, tail, key), lazily deleted
-
-    def scan(u: int) -> None:
+    labels: dict[int, tuple] = {}  # best frontier entry per uncovered vertex
+    frontier: list[tuple] = []  # (value, vertex, tail, key, road), lazily deleted
+    u = source
+    while u is not None:
         path_u = paths[u]
         value_u = value[u]
-        for road in graph.out_roads(u):
+        for road in out[u]:
             v = road.head
             if v in paths:
                 continue
             # u's tree path holds only covered vertices, so it admits an uncovered v
-            candidate = func.apply(value_u, path_u, road)
-            stats.extend_calls += 1
-            label = (candidate, v, u, road.key)
-            if v not in labels or label < labels[v]:
+            candidate = extend(value_u, path_u, road)
+            if type(candidate) is not float or candidate != candidate:
+                candidate = checked(candidate, road)
+            extend_calls += 1
+            label = (candidate, v, u, road.key, road)  # keys are unique, so comparison stops before the road
+            best = labels.get(v)
+            if best is None or label < best:
                 labels[v] = label
                 heapq.heappush(frontier, label)
-                stats.relaxations += 1
-
-    scan(source)
-    while frontier:
-        candidate, v, u, key = heapq.heappop(frontier)
-        if v in paths:
-            continue  # stale entry: v was fixed by a smaller label
-        paths[v] = paths[u].extended(key)
-        value[v] = candidate
-        stats.rounds += 1
-        scan(v)
-    return ShortestPathTree(source, paths, value), stats
+                relaxations += 1
+        u = None
+        while frontier:
+            candidate, v, tail, _, road = heapq.heappop(frontier)
+            if v in paths:
+                continue  # stale entry: v was fixed by a smaller label
+            paths[v] = paths[tail]._grown(road)
+            value[v] = candidate
+            rounds += 1
+            u = v  # scanned next
+            break
+    return ShortestPathTree(source, paths, value), RunStats(extend_calls, relaxations, rounds)
 
 
 def embfa(
@@ -220,7 +227,7 @@ def embfa(
     path's vertices only when it meets a covered head: an uncovered head
     lies on no tree path, so a scan that meets none costs O(out-degree)
     whatever the depth, and a deep tree of fresh vertices (a ring) stays
-    linear.
+    linear. Results of ``extend`` are checked and counted as in `eda`.
 
     The stored paths form one tree: every covered vertex's stored path is
     its parent's plus one road, and its stored value is that path's fold.
@@ -256,16 +263,16 @@ def embfa(
     """
     _check_source(graph, source, system)
     _require_properties(func, system, {OP, NO_NEGATIVE_CIRCLES}, "embfa")
-    stats = RunStats()
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     value: dict[int, float] = {source: func.base}
     children: dict[int, list[int]] = {}  # tree children of each covered vertex
 
-    apply, out, simple = func.apply, graph._out, system.kind == SIMPLE
+    extend, checked, out, simple = func.extend, func.checked, graph._out, system.kind == SIMPLE
+    extend_calls = relaxations = rounds = vetoed = 0
     active = [source]
     scanned: dict[int, Path] = {}  # the stored path each tail was last scanned with
     while True:
-        stats.rounds += 1
+        rounds += 1
         relaxed: set[int] = set()
         for u in active:
             path_u = paths.get(u)
@@ -286,8 +293,10 @@ def embfa(
                             link = link._prefix
                     if simple and v in on_path:
                         continue  # the simple system admits no revisit
-                candidate = apply(value_u, path_u, road)
-                stats.extend_calls += 1
+                candidate = extend(value_u, path_u, road)
+                if type(candidate) is not float or candidate != candidate:
+                    candidate = checked(candidate, road)
+                extend_calls += 1
                 if value_v is None or candidate < value_v:
                     if value_v is not None:
                         if v in on_path:
@@ -302,10 +311,10 @@ def embfa(
                         for w in detached:
                             del paths[w], value[w]
                             detached.extend(children.pop(w, ()))
-                    paths[v] = path_u.extended(road.key)
+                    paths[v] = path_u._grown(road)
                     value[v] = candidate
                     children.setdefault(u, []).append(v)
-                    stats.relaxations += 1
+                    relaxations += 1
                     relaxed.add(v)
         if not relaxed:
             break
@@ -316,14 +325,17 @@ def embfa(
     for u in sorted(paths):
         path_u, value_u = paths[u], value[u]
         for road in out[u]:
-            candidate = apply(value_u, path_u, road)
-            stats.extend_calls += 1
+            candidate = extend(value_u, path_u, road)
+            if type(candidate) is not float or candidate != candidate:
+                candidate = checked(candidate, road)
+            extend_calls += 1
             if candidate < value.get(road.head, INF):
-                stats.vetoed += 1
+                vetoed += 1
     order = [source]
     for u in order:
         order.extend(children.get(u, ()))
-    return ShortestPathTree(source, {v: paths[v] for v in order}, value, stats.vetoed == 0), stats
+    stats = RunStats(extend_calls, relaxations, rounds, vetoed)
+    return ShortestPathTree(source, {v: paths[v] for v in order}, value, vetoed == 0), stats
 
 
 def format_tree(tree: ShortestPathTree, stats: RunStats) -> str:

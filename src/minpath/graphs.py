@@ -62,7 +62,7 @@ class Graph:
     road key so every traversal in the package is deterministic.
     """
 
-    __slots__ = ("vertices", "roads", "_by_key", "_out")
+    __slots__ = ("vertices", "roads", "_by_key", "_out", "_nonnegative")
 
     def __init__(self, vertices, roads):
         vertices = tuple(vertices)
@@ -72,6 +72,7 @@ class Graph:
             raise ValueError("vertex ids must be dense 0..n-1 and unique")
         by_key: dict[int, Road] = {}
         out: list[list[Road]] = [[] for _ in range(n)]
+        nonnegative = True
         for r in roads:
             if r.key in by_key:
                 raise ValueError(f"duplicate road key {r.key}")
@@ -79,11 +80,14 @@ class Graph:
                 raise ValueError(f"road {r.key} endpoint out of range")
             if not math.isfinite(r.weight):
                 raise ValueError(f"road {r.key} has non-finite weight")
+            if r.weight < 0:
+                nonnegative = False
             by_key[r.key] = r
             out[r.tail].append(r)
         self.vertices = vertices
         self.roads = roads
         self._by_key = by_key
+        self._nonnegative = nonnegative  # read by dijkstra_classic and the detour-based path functions
         self._out = tuple(tuple(sorted(lst, key=lambda r: r.key)) for lst in out)
 
     @property
@@ -248,7 +252,7 @@ def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
     """
     if not 0 <= source < graph.n:
         raise ValueError(f"source {source} out of range")
-    if any(r.weight < 0 for r in graph.roads):
+    if not graph._nonnegative:
         raise ValueError("negative weight present")
     return tuple(_single_source(graph, source)[0])
 

@@ -113,12 +113,17 @@ class Path:
         road = self.graph.road(key)
         if road.tail != self.terminal:
             raise ValueError(f"road chain broken: road {key} starts at {road.tail}, expected {self.terminal}")
+        return self._grown(road)
+
+    def _grown(self, road: Road) -> "Path":
+        """This path plus ``road``, unchecked: the caller holds a road of this
+        graph out of this path's terminal."""
         path = object.__new__(Path)
         path.graph = self.graph
         path.source = self.source
         path.terminal = road.head
         path._prefix = self
-        path._key = key
+        path._key = road.key
         path._length = self._length + 1
         return path
 
@@ -207,8 +212,18 @@ class PathFunction:
     declared_properties: frozenset[str] = field(default_factory=frozenset)
 
     def apply(self, value: float, parent: Path, road: Road) -> float:
-        """``extend``, rejecting a NaN or non-real result (``inf`` stays legal)."""
-        result = self.extend(value, parent, road)
+        """``extend``, its result passed through `checked`."""
+        return self.checked(self.extend(value, parent, road), road)
+
+    def checked(self, result: float, road: Road) -> float:
+        """``result`` of extending by ``road``, rejected if NaN or not real
+        (``inf`` stays legal).
+
+        The solver loops and the verify census call ``extend`` directly and
+        pass only a result that is not a plain non-NaN float through here:
+        ``type(c) is not float or c != c``. Every result is thus checked
+        once, with the same messages as `apply`.
+        """
         if type(result) is not float and not isinstance(result, numbers.Real):
             raise ValueError(
                 f"path function {self.name!r} returned non-numeric {result!r} extending by road {road.key}"
@@ -397,9 +412,8 @@ class DetourTable:
 
 
 def _require_nonnegative(graph: Graph, name: str) -> None:
-    for r in graph.roads:
-        if r.weight < 0:
-            raise ValueError(f"{name} requires nonnegative weights")
+    if not graph._nonnegative:
+        raise ValueError(f"{name} requires nonnegative weights")
 
 
 def _own_table(graph: Graph, table: DetourTable | None) -> DetourTable:
@@ -423,8 +437,7 @@ def classic_distance(graph: Graph) -> PathFunction:
     negative circles. The constructor declares the set that matches the
     weights it sees (conservativeness itself is the caller's claim).
     """
-    nonneg = all(r.weight >= 0 for r in graph.roads)
-    if nonneg:
+    if graph._nonnegative:
         props = frozenset({NDSP, SOP, OP, NO_NEGATIVE_CIRCLES})
     else:
         props = frozenset({OP, NO_NEGATIVE_CIRCLES})

@@ -224,12 +224,18 @@ class _Walk:
 def _fold(walk: _Walk, func: PathFunction) -> list[float]:
     """``func``'s value of every member of ``walk``, indexed like it: ``values[i]
     = func.apply(values[parent[i]], paths[parent[i]], roads[i])`` in walk
-    order, so ``extend`` runs once per member other than the trivial path."""
-    apply, paths, parent, roads = func.apply, walk.paths, walk.parent, walk.roads
+    order, so ``extend`` runs once per member other than the trivial path.
+    As in the solvers, only a result that is not a plain non-NaN float goes
+    through `PathFunction.checked`."""
+    extend, checked, paths, parent, roads = func.extend, func.checked, walk.paths, walk.parent, walk.roads
     values = [func.base]
     for i in range(1, len(paths)):
         p = parent[i]
-        values.append(apply(values[p], paths[p], roads[i]))
+        road = roads[i]
+        value = extend(values[p], paths[p], road)
+        if type(value) is not float or value != value:
+            value = checked(value, road)
+        values.append(value)
     return values
 
 
@@ -320,7 +326,11 @@ def check_property(
     sons; order-preservation clauses scan every ordered pair of same-terminal
     paths together with every common extension road whose extensions stay in
     the system. The "-SP" variants restrict the hypothesis side to minimum
-    paths (minima from `oracle_min`). On a simple system with a bound of at
+    paths (minima from `oracle_min`). Each (terminal, road) list of
+    order-clause entries is first sorted by value and tested in one pass
+    (`_order_flagged`); the pair scan runs only on a list it flags, so a
+    list without a violation costs O(k log k) and the reported witness is
+    the pair scan's. On a simple system with a bound of at
     least n-1 every property reads the function's census (see `_oracle`):
     its walk holds every path and every son's index, and its values every
     son's value, so the check walks and extends nothing once the census
@@ -374,9 +384,13 @@ def check_property(
     minimum_side = prop in (SOPSP, WOPSP, OPSP)
 
     for t, group in sorted(groups.items()):
+        minimum = minima[t] if minimum_side else None
         for road in graph.out_roads(t):
             key = road.key
             extended = [(i, values[i], values[j]) for i in group if (j := sons[i].get(key)) is not None]
+            if len(extended) < 2 or not _order_flagged(extended, strict_hypothesis, equality_clause, minimum, tol):
+                continue
+            # a violation is possible here: the pair scan finds the first one, if any
             for a, value_a, ext_a in extended:
                 if minimum_side and not _close(value_a, minima[t], tol):
                     continue
@@ -406,6 +420,44 @@ def check_property(
                     }
                     return PropertyReport(prop, VIOLATED, scope, witness, details)
     return PropertyReport(prop, NO_VIOLATION, scope)
+
+
+def _order_flagged(extended: list, strict: bool, equality: bool, minimum: float | None, tol: float) -> bool:
+    """Whether the pair scan of `check_property` may find a violation among
+    ``extended``'s (member, value, extended value) entries, in O(k log k).
+
+    Sorted by value, the entries fall into blocks of equal value, each
+    sorted by extended value. A block is on the hypothesis side when one
+    of its values is within ``tol`` of ``minimum`` (always, when
+    ``minimum`` is None). The order clause is violated by a block's
+    smallest extended value when the largest hypothesis-side extended
+    value over the earlier blocks (strict) or up to this one (weak)
+    exceeds it by more than ``tol``; no member pairs with itself there,
+    because ``ext > ext + tol`` never holds. The equality clause is
+    violated by a hypothesis-side block whose largest and smallest
+    extended values are not `_close`. Treating a whole block as hypothesis
+    side can only flag more, so False means the pair scan finds nothing.
+    """
+    pairs = sorted([(value, ext) for _, value, ext in extended])
+    top = -INF  # the largest hypothesis-side extended value so far
+    k, n = 0, len(pairs)
+    while k < n:
+        value, low = pairs[k]
+        end = k + 1
+        while end < n and pairs[end][0] == value:
+            end += 1
+        high = pairs[end - 1][1]
+        side = minimum is None or any(_close(v, minimum, tol) for v, _ in pairs[k:end])
+        if side and equality and not _close(high, low, tol):
+            return True
+        if side and not strict:
+            top = max(top, high)
+        if top > low + tol:
+            return True
+        if side and strict:
+            top = max(top, high)
+        k = end
+    return False
 
 
 def check_no_negative_circles(

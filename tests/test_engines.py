@@ -7,6 +7,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -646,6 +647,64 @@ def test_integer_extend_is_accepted():
     func = PathFunction("hops", 0.0, lambda value, parent, road: len(parent) + 1, frozenset({NDSP, OP, WISP}))
     tree, _ = eda(g, 0, PathSystem.simple(0), func)
     assert tree.value == {0: 0.0, 1: 1}
+
+
+@pytest.mark.parametrize("number", [int, Fraction])
+def test_exact_numbers_are_accepted(number):
+    # results that are not floats take the checked path in every loop
+    g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 0 2 3.0\narc 1 2 1.0\n")
+
+    def extend(value, parent, road):
+        return value + number(int(road.weight))
+
+    func = PathFunction("exact", number(0), extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+    system = PathSystem.simple(0)
+    for solve in (eda, embfa):
+        tree, _ = solve(g, 0, system, func)
+        assert tree.value == {0: 0, 1: 1, 2: 2}
+        assert {type(value) for value in tree.value.values()} == {number}
+    assert oracle_min(g, 0, system, func).minimum == {0: 0, 1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("kind", ["simple", "all"])
+def test_every_extend_call_is_counted(kind):
+    # one call per counted extension, whether the result is a float (which
+    # skips the check) or an int (which takes it); the counts agree
+    g = generate_random(12, 40, 0.0, 10.0, "undirected", 3)
+    system = PathSystem(kind, 0)
+    runs = {}
+    for number in (float, int):
+        calls = []
+
+        def extend(value, parent, road, number=number, calls=calls):
+            calls.append(road.key)
+            return value + number(round(road.weight))
+
+        func = PathFunction("rounded", number(0), extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+        for solve in (eda, embfa):
+            del calls[:]
+            tree, stats = solve(g, 0, system, func)
+            assert len(calls) == stats.extend_calls > 0
+            runs.setdefault(solve.__name__, []).append((stats, tree.value, format_tree(tree, stats)))
+    for (float_stats, float_values, _), (int_stats, int_values, _) in runs.values():
+        assert float_stats == int_stats
+        assert float_values == int_values
+
+
+def test_nan_from_a_vetoed_road_is_rejected_by_the_certificate():
+    # the simple system vetoes road 1 (1 -> 0, back to the source) in every
+    # scan, so only embfa's certificate extends it
+    g = parse_graph("g 2 2\nv 0\nv 1\narc 0 1 1.0\narc 1 0 1.0\n")
+
+    def extend(value, parent, road):
+        return float("nan") if road.key == 1 else value + road.weight
+
+    func = PathFunction("nan-on-k1", 0.0, extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+    system = PathSystem.simple(0)
+    tree, stats = eda(g, 0, system, func)
+    assert tree.value == {0: 0.0, 1: 1.0} and stats.extend_calls == 1
+    with pytest.raises(ValueError, match="path function 'nan-on-k1' returned NaN extending by road 1"):
+        embfa(g, 0, system, func)
 
 
 def _bfs_reachable(graph, source):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from minpath import (
     Graph,
+    anti_risk,
+    classic_distance,
+    dijkstra_classic,
     GraphFormatError,
     Road,
     Vertex,
@@ -294,6 +297,20 @@ class TestGraphConstruction:
     def test_unknown_road_lookup(self, diamond):
         with pytest.raises(ValueError, match="unknown road key 99"):
             diamond.road(99)
+
+    def test_negative_weight_is_recorded_per_graph(self):
+        # the weights are scanned once, when the graph is built; a copy
+        # without the one negative road is nonnegative again
+        g = Graph([Vertex(0), Vertex(1), Vertex(2)], [Road(0, 0, 1, 1.0), Road(1, 1, 2, -1.0), Road(2, 0, 2, 0.0)])
+        with pytest.raises(ValueError, match="negative weight present"):
+            dijkstra_classic(g, 0)
+        with pytest.raises(ValueError, match="anti-risk requires nonnegative weights"):
+            anti_risk(g)
+        assert "NDSP" not in classic_distance(g).declared_properties
+        rest = remove_road(g, 1)
+        assert dijkstra_classic(rest, 0) == (0.0, 1.0, 0.0)
+        assert "NDSP" in classic_distance(rest).declared_properties
+        anti_risk(rest)
 
     def test_adjacency_sorted_by_key(self, diamond):
         for v in range(diamond.n):

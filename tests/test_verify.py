@@ -7,6 +7,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 
 import minpath
 from minpath import (
+    Graph,
     Path,
     PathFunction,
     PathSystem,
+    Road,
     ShortestPathTree,
     anti_risk,
     blocked_cost,
@@ -181,6 +184,15 @@ class TestCheckProperty:
         report = check_property(g, 0, PathSystem.all_paths(0), func, "SOPSP")
         assert report.violated
         assert report.details["other"].roads == (0, 1)
+
+    def test_all_paths_sop_on_a_dense_graph_ends(self):
+        # 7 vertices and 32 roads: every ordered pair of same-terminal walks
+        # per road is far too many to scan, so the clauses sort each list
+        g = generate_random(7, 16, 0, 10, "undirected", 35)
+        start = time.perf_counter()
+        report = check_property(g, 0, PathSystem.all_paths(0), classic_distance(g), "SOP")
+        assert time.perf_counter() - start < 60
+        assert report.format() == "property=SOP verdict=no-violation-found scope=max_roads:6 witness=-"
 
 
 class TestCheckCircles:
@@ -666,12 +678,18 @@ def test_census_checks_match_a_naive_scan(n, data, mode, high, kind, longer, see
     high=st.sampled_from([10.0, 2.0]),
     kind=st.sampled_from(sorted(BUILDERS)),
     every=st.booleans(),
+    whole=st.booleans(),
+    tol=st.sampled_from([1e-9, 0.0, 0.5, 1.0]),
     seed=st.integers(0, 10_000),
 )
-def test_off_census_checks_match_a_naive_scan(n, data, mode, high, kind, every, seed):
+def test_off_census_checks_match_a_naive_scan(n, data, mode, high, kind, every, whole, tol, seed):
     # another system, or a bound below n-1: the check walks that system within
-    # its bound, yet takes the "-SP" minima from every simple path
+    # its bound, yet takes the "-SP" minima from every simple path. Whole
+    # weights make many values tie, exactly or within the tolerance, which
+    # is where the sorted order clauses meet their blocks' edges.
     g = generate_random(n, data.draw(st.integers(n, 2 * n)), 0.0, high, mode, seed)
+    if whole:
+        g = Graph(g.vertices, [Road(r.key, r.tail, r.head, float(round(r.weight))) for r in g.roads])
     func = BUILDERS[kind](g)
     system = PathSystem.all_paths(0) if every else PathSystem.simple(0)
     bound = data.draw(st.integers(0, 3 if every else n - 2))
@@ -681,9 +699,9 @@ def test_off_census_checks_match_a_naive_scan(n, data, mode, high, kind, every, 
             with pytest.raises(ValueError, match="negative circles"):
                 check_property(g, 0, system, func, prop, max_roads=bound)
             continue
-        report = check_property(g, 0, system, func, prop, max_roads=bound)
+        report = check_property(g, 0, system, func, prop, max_roads=bound, tol=tol)
         assert report.scope == f"max_roads:{bound}"
-        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, system, bound)
+        assert (report.verdict, report.witness, repr(report.details)) == naive_check(g, func, prop, system, bound, tol)
 
 
 @settings(max_examples=50, deadline=None)
