@@ -676,7 +676,7 @@ def test_every_extend_call_is_counted(kind):
     for number in (float, int):
         calls = []
 
-        def extend(value, parent, road, number=number, calls=calls):
+        def extend(value, parent, road):
             calls.append(road.key)
             return value + number(round(road.weight))
 
@@ -685,10 +685,9 @@ def test_every_extend_call_is_counted(kind):
             del calls[:]
             tree, stats = solve(g, 0, system, func)
             assert len(calls) == stats.extend_calls > 0
-            runs.setdefault(solve.__name__, []).append((stats, tree.value, format_tree(tree, stats)))
-    for (float_stats, float_values, _), (int_stats, int_values, _) in runs.values():
-        assert float_stats == int_stats
-        assert float_values == int_values
+            runs.setdefault(solve.__name__, []).append((stats, tree.value))
+    for float_run, int_run in runs.values():
+        assert float_run == int_run
 
 
 def test_nan_from_a_vetoed_road_is_rejected_by_the_certificate():

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from minpath import (
     Graph,
-    anti_risk,
-    classic_distance,
-    dijkstra_classic,
     GraphFormatError,
     Road,
     Vertex,
+    anti_risk,
+    classic_distance,
+    dijkstra_classic,
     generate_random,
     max_degree,
     parse_graph,
