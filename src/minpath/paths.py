@@ -14,7 +14,7 @@ import functools
 import heapq
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Container
+from typing import Callable
 
 from .graphs import Graph, Road, _dijkstra, _single_source
 
@@ -185,14 +185,6 @@ class PathSystem:
     @classmethod
     def all_paths(cls, source: int) -> "PathSystem":
         return cls(ALL, source)
-
-    def admits(self, head: int, on_path: Container[int]) -> bool:
-        """Membership of a member path extended by one road into ``head``.
-
-        ``on_path`` holds the member's vertices; the caller keeps it (a set
-        for a path it scans many roads out of), so no path caches one.
-        """
-        return self.kind != SIMPLE or head not in on_path
 
 
 @dataclass(frozen=True)

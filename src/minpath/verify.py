@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
 from .graphs import Graph, Road
@@ -64,7 +63,6 @@ __all__ = [
     "check_no_negative_circles",
     "check_wisp",
     "compare_tree_to_oracle",
-    "parity_length",
 ]
 
 NO_VIOLATION = "no-violation-found"
@@ -155,45 +153,16 @@ def _walk(graph: Graph, source: int, system: PathSystem, max_roads: int) -> Iter
     return walk()
 
 
-class _FreshSons:
-    """A member's sons by road key, each admitted and valued on request, for
-    a member at its walk's bound, whose sons the walk cut off. Like a walk's
-    ``sons`` entry, `get` gives the son's index in ``values``: it appends the
-    value."""
-
-    __slots__ = ("system", "func", "path", "value", "values", "on_path")
-
-    def __init__(self, system: PathSystem, func: PathFunction, path: Path, value: float, values: list):
-        self.system = system
-        self.func = func
-        self.path = path
-        self.value = value
-        self.values = values
-        self.on_path = None  # the path's vertex set, built on the first membership test
-
-    def get(self, key: int) -> int | None:
-        if self.on_path is None:
-            self.on_path = set(self.path.vertices)
-        road = self.path.graph.road(key)
-        if not self.system.admits(road.head, self.on_path):
-            return None
-        self.values.append(self.func.apply(self.value, self.path, road))
-        return len(self.values) - 1
-
-
-_NO_SONS = MappingProxyType({})  # the sons of every member at a walk's bound, shared
-
-
 class _Walk:
     """The members of ``system`` with at most ``max_roads`` roads, in
     `enumerate_paths` order.
 
     Member i is ``paths[i]``: member ``parent[i]`` extended by road
-    ``roads[i]`` (the trivial path, member 0, has neither). ``sons[i]`` maps
-    the key of each road that extends member i into another member to that
-    son's index, and ``groups`` maps each terminal to its members' indices
-    in walk order. Every member below the bound has all its sons; a member
-    at the bound has none.
+    ``roads[i]`` (the trivial path, member 0, has neither). ``sons`` maps
+    each road key to the members whose last road it is, in walk order: the
+    sons by that road of members at its tail. ``groups`` maps each terminal
+    to its members' indices in walk order. A member at the bound has no
+    sons here.
     """
 
     __slots__ = ("paths", "parent", "roads", "sons", "groups", "__weakref__")
@@ -204,20 +173,18 @@ class _Walk:
         self.paths = paths = [root]
         self.parent = parent = [-1]
         self.roads = roads = [None]
-        self.sons = sons = [{} if max_roads else _NO_SONS]
+        self.sons = sons = defaultdict(list)
         self.groups = groups = defaultdict(list)
         groups[source].append(0)
         branch = [0]  # branch[d]: the index of the current branch's member with d roads
         for i, (path, road) in enumerate(members, 1):
             depth = path._length
-            p = branch[depth - 1]
+            parent.append(branch[depth - 1])
             del branch[depth:]
             branch.append(i)
-            parent.append(p)
-            sons[p][road.key] = i
             paths.append(path)
             roads.append(road)
-            sons.append({} if depth < max_roads else _NO_SONS)
+            sons[road.key].append(i)
             groups[road.head].append(i)
 
 
@@ -327,17 +294,20 @@ def check_property(
     paths together with every common extension road whose extensions stay in
     the system. The "-SP" variants restrict the hypothesis side to minimum
     paths (minima from `oracle_min`). Each (terminal, road) list of
-    order-clause entries is first sorted by value and tested in one pass
-    (`_order_flagged`); the pair scan runs only on a list it flags, so a
-    list without a violation costs O(k log k) and the reported witness is
-    the pair scan's. On a simple system with a bound of at
-    least n-1 every property reads the function's census (see `_oracle`):
-    its walk holds every path and every son's index, and its values every
-    son's value, so the check walks and extends nothing once the census
-    exists, and leaves it cached. Other systems and bounds build their own
-    walk within the bound and fold the function over it, uncached; only a
-    member at the bound, whose sons the walk cut off, admits and values its
-    sons on request. The first violation in enumeration order is reported.
+    order-clause entries is built from the walk's sons by that road, then
+    sorted by value and tested in one pass (`_order_flagged`); the pair scan
+    runs only on a list it flags, so a list without a violation costs
+    O(k log k) and the reported witness is the pair scan's. The monotone
+    clauses are one pass over the walk's (son, parent) pairs. On a simple
+    system with a bound of at least n-1 every property reads the function's
+    census (see `_oracle`): its walk holds every path and every son, and its
+    values every son's value, so the check walks and extends nothing once
+    the census exists, and leaves it cached. Other systems and bounds build
+    their own walk within the bound and fold the function over it,
+    uncached; the sons of a member at the bound, which the walk cut off,
+    are valued only where a clause reads them: in each (terminal, road)
+    list, and for the monotone clauses those of minimum members only. The
+    first violation in enumeration order is reported.
     """
     _require_tolerance(tol)
     if prop not in DEF1_PROPERTIES:
@@ -345,39 +315,53 @@ def check_property(
     if max_roads is None:
         max_roads = graph.n - 1
     scope = f"max_roads:{max_roads}"
-    if system == PathSystem.simple(source) and max_roads >= graph.n - 1:
+    on_census = system == PathSystem.simple(source) and max_roads >= graph.n - 1
+    if on_census:
         census = _oracle(graph, source, system, func)
         minima, walk, values = census.minimum, census.walk, census.values
     else:
         minima = _oracle(graph, source, system, func).minimum if prop in _MINIMUM_HYPOTHESIS else None
         walk = _Walk(graph, source, system, max_roads)
         values = _fold(walk, func)
-        for i, path in enumerate(walk.paths):  # this walk is uncached: members at the bound get sons on request
-            if walk.sons[i] is _NO_SONS:
-                walk.sons[i] = _FreshSons(system, func, path, values[i], values)
-    paths, sons, groups = walk.paths, walk.sons, walk.groups
+    paths, parent, roads, sons, groups = walk.paths, walk.parent, walk.roads, walk.sons, walk.groups
+    simple = system.kind == SIMPLE
 
-    # members are indices into paths and values; sons[i].get(key) is the index of member i's son by that road
+    def cut(group: list[int], minimum: float | None = None) -> list[tuple[int, tuple[int, ...]]]:
+        """(member, the vertices its sons may not revisit) of each member of
+        ``group`` at the bound, only those within tolerance of ``minimum``
+        when it is given; none on the census, whose walk cut no son off."""
+        if on_census:
+            return []
+        return [
+            (i, paths[i].vertices if simple else ())
+            for i in group
+            if len(paths[i]) == max_roads and (minimum is None or _close(values[i], minimum, tol))
+        ]
+
+    def cut_son(i: int, road: Road) -> float:
+        """The value of member i extended by ``road``, checked as `_fold` checks."""
+        value = func.extend(values[i], paths[i], road)
+        return func.checked(value, road) if type(value) is not float or value != value else value
+
+    # members are indices into paths and values; sons[key] lists the members whose last road has that key
     if prop in (NDSP, INSP):
-        for t, group in sorted(groups.items()):
-            for i in group:
-                value = values[i]
-                if not _close(value, minima[t], tol):
-                    continue
+        drops = []  # (terminal, member, road key, son value) of each son below its minimum parent
+        for j in [j for j, p in enumerate(parent) if j and values[j] < values[p] - tol]:
+            p, road = parent[j], roads[j]
+            if _close(values[p], minima[road.tail], tol):
+                drops.append((road.tail, p, road.key, values[j]))
+        for t, group in groups.items():
+            for i, on_path in cut(group, minima[t]):
                 for road in graph.out_roads(t):
-                    j = sons[i].get(road.key)
-                    if j is None:
-                        continue
-                    son_value = values[j]
-                    if son_value < value - tol:
-                        path = paths[i]
-                        witness = (
-                            f"P={format_path(path)} f={value!r}; "
-                            f"son via k{road.key} f={son_value!r}"
-                        )
-                        details = {"path": path, "value": value, "road": road, "son_value": son_value}
-                        return PropertyReport(prop, VIOLATED, scope, witness, details)
-        return PropertyReport(prop, NO_VIOLATION, scope)
+                    if road.head not in on_path and (son_value := cut_son(i, road)) < values[i] - tol:
+                        drops.append((t, i, road.key, son_value))
+        if not drops:
+            return PropertyReport(prop, NO_VIOLATION, scope)
+        _, i, key, son_value = min(drops)
+        path, value, road = paths[i], values[i], graph.road(key)
+        witness = f"P={format_path(path)} f={value!r}; son via k{key} f={son_value!r}"
+        details = {"path": path, "value": value, "road": road, "son_value": son_value}
+        return PropertyReport(prop, VIOLATED, scope, witness, details)
 
     strict_hypothesis = prop in (WOP, WOPSP, OP, OPSP)
     equality_clause = prop in (OP, OPSP)
@@ -385,9 +369,15 @@ def check_property(
 
     for t, group in sorted(groups.items()):
         minimum = minima[t] if minimum_side else None
+        at_bound = cut(group)
         for road in graph.out_roads(t):
             key = road.key
-            extended = [(i, values[i], values[j]) for i in group if (j := sons[i].get(key)) is not None]
+            extended = [(p := parent[j], values[p], values[j]) for j in sons.get(key, ())]
+            if not on_census:
+                # an all-paths member can follow its own descendant's son, and
+                # the cut sons come last: put the list in member order
+                extended += [(i, values[i], cut_son(i, road)) for i, on_path in at_bound if road.head not in on_path]
+                extended.sort()
             if len(extended) < 2 or not _order_flagged(extended, strict_hypothesis, equality_clause, minimum, tol):
                 continue
             # a violation is possible here: the pair scan finds the first one, if any
@@ -582,21 +572,3 @@ def compare_tree_to_oracle(tree, oracle: OracleResult, tol: float = 1e-9) -> Pro
             {"vertex": worst_vertex, "tree": a, "oracle": b, "deviation": worst_dev},
         )
     return PropertyReport("tree-vs-oracle", NO_VIOLATION, scope)
-
-
-def parity_length(graph: Graph) -> PathFunction:
-    """Deliberately ill-behaved probe: parity of the floored path length.
-
-    Declares nothing and violates the monotone properties on most inputs;
-    used to confirm that the checkers can actually find violations. The
-    extension rule re-sums the parent path, exercising history-dependent
-    functions.
-    """
-
-    def extend(value: float, parent: Path, road: Road) -> float:
-        total = road.weight
-        for key in parent.roads:
-            total += graph.road(key).weight
-        return float(math.floor(total) % 2)
-
-    return PathFunction("parity", 0.0, extend, frozenset())

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from minpath import PathSystem, generate_random, parse_graph, path_value
+from minpath import PathFunction, PathSystem, generate_random, parse_graph, path_value
 
 # Four-vertex network used throughout: s=0, a=1, b=2, t=3. All edges are
 # undirected, so each one stores two opposite roads (keys 0..9).
@@ -105,3 +106,21 @@ def assert_tree_invariants(tree, system=None, func=None, stats=None, extend_budg
 
 def simple_system(source=0):
     return PathSystem.simple(source)
+
+
+def parity_length(graph):
+    """Deliberately ill-behaved probe: parity of the floored path length.
+
+    Declares nothing and violates the monotone properties on most inputs;
+    used to confirm that the checkers can actually find violations. The
+    extension rule re-sums the parent path, exercising history-dependent
+    functions.
+    """
+
+    def extend(value, parent, road):
+        total = road.weight
+        for key in parent.roads:
+            total += graph.road(key).weight
+        return float(math.floor(total) % 2)
+
+    return PathFunction("parity", 0.0, extend, frozenset())

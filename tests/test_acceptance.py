@@ -35,7 +35,6 @@ from minpath import (
     generate_random,
     max_degree,
     oracle_min,
-    parity_length,
     path_value,
     remove_road,
     serialize_graph,
@@ -44,7 +43,7 @@ from minpath import (
 from minpath.cli import main as cli_main
 from minpath.verify import NO_VIOLATION
 
-from conftest import assert_tree_invariants, brute_simple_paths, random_instances
+from conftest import assert_tree_invariants, brute_simple_paths, parity_length, random_instances
 from test_paths import direct_risk
 
 TOL = 1e-9

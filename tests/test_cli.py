@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import minpath
 from minpath import PathSystem, blocked_cost, eda, format_tree, generate_random, serialize_graph
 from minpath.cli import PROPERTY_CHECKS, main
 
@@ -324,6 +328,16 @@ class TestGen:
         graph_file.write_text(first)
         assert main(["solve", "--graph", str(graph_file), "--source", "0"]) == 0
         capsys.readouterr()
+
+    def test_runs_as_a_module(self, capsys):
+        argv = ["gen", "--n", "3", "--m", "2", "--seed", "0"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(minpath.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "minpath.cli", *argv], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+        assert expected
 
     def test_conservative_rejects_negative_low(self, capsys):
         code = main(["gen", "--n", "4", "--m", "6", "--weights=-1:5", "--mode", "conservative"])

@@ -41,7 +41,6 @@ from minpath import (
     generate_random,
     max_degree,
     oracle_min,
-    parity_length,
     parse_graph,
     path_value,
     remove_road,
@@ -52,6 +51,7 @@ from conftest import (
     assert_tree_invariants,
     brute_min_distance,
     brute_simple_paths,
+    parity_length,
     random_instances,
 )
 

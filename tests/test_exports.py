@@ -13,7 +13,7 @@ EARLIER_EXPORTS = {
     "check_no_negative_circles", "check_property", "check_wisp", "classic_distance",
     "compare_tree_to_oracle", "dijkstra_classic", "eda", "embfa", "enumerate_paths", "expected_cost",
     "format_path", "format_tree", "generate_random", "implied_properties", "max_degree", "oracle_min",
-    "parity_length", "parse_graph", "path_value", "remove_road", "serialize_graph", "sta",
+    "parse_graph", "path_value", "remove_road", "serialize_graph", "sta",
 }
 
 
@@ -26,3 +26,5 @@ def test_exports_are_the_modules_exports():
         for name in module.__all__:
             assert getattr(minpath, name) is getattr(module, name)
     assert EARLIER_EXPORTS <= set(exported)
+    # the parity probe is a test helper (tests/conftest.py), not an export
+    assert "parity_length" not in exported

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -36,7 +37,6 @@ from minpath import (
     generate_random,
     implied_properties,
     oracle_min,
-    parity_length,
     parse_graph,
     path_value,
     serialize_graph,
@@ -44,7 +44,7 @@ from minpath import (
 from minpath.paths import INF, INSP, NDSP, NO_NEGATIVE_CIRCLES, OP, OPSP, SOP, SOPSP, WISP, WOP, WOPSP
 from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED, _walk
 
-from conftest import brute_simple_paths, random_instances
+from conftest import brute_simple_paths, parity_length, random_instances
 
 
 def single_road():
@@ -193,6 +193,15 @@ class TestCheckProperty:
         report = check_property(g, 0, PathSystem.all_paths(0), classic_distance(g), "SOP")
         assert time.perf_counter() - start < 60
         assert report.format() == "property=SOP verdict=no-violation-found scope=max_roads:6 witness=-"
+        # the walk's memory grows with its members, not with a container per member
+        tracemalloc.start()
+        try:
+            report = check_property(g, 0, PathSystem.all_paths(0), classic_distance(g), "SOP", max_roads=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.format() == "property=SOP verdict=no-violation-found scope=max_roads:4 witness=-"
+        assert peak < 1.25 * 2**20
 
 
 class TestCheckCircles:
@@ -508,23 +517,30 @@ class TestCensus:
         fail[0] = False
         assert oracle_min(g, 0, system, func).minimum == {0: 0.0, 1: 1.0, 2: 1.0}
 
-    def test_walks_keep_sons_only_for_the_census(self):
+    def test_walks_index_sons_by_road(self):
         g = generate_random(8, 20, 0.0, 10.0, "undirected", 4)
         func = anti_risk(g)
-        census_reports(g, 0, func)
+        oracle_min(g, 0, PathSystem.simple(0), func)
         census = minpath.verify._last_census[1]
         walk = census.walk
         simple = list(enumerate_paths(g, 0, PathSystem.simple(0), g.n - 1))
         assert walk.paths == simple
-        assert len(walk.parent) == len(walk.roads) == len(walk.sons) == len(census.values) == len(simple)
+        assert len(walk.parent) == len(walk.roads) == len(census.values) == len(simple)
         for i, path in enumerate(walk.paths):
             assert census.values[i] == path_value(func, path)
-            on_path = set(path.vertices)
-            admitted = [road.key for road in g.out_roads(path.terminal) if road.head not in on_path]
-            assert list(walk.sons[i]) == admitted
-            for key, j in walk.sons[i].items():
-                assert (walk.parent[j], walk.roads[j].key) == (i, key)
-                assert walk.paths[j] == path.extended(key)
+            if i:
+                assert walk.paths[walk.parent[i]].extended(walk.roads[i].key) == path
+        # each road key maps to exactly the members whose last road it is, in walk order
+        by_road = {}
+        for i, path in enumerate(simple[1:], 1):
+            by_road.setdefault(path.roads[-1], []).append(i)
+        assert dict(walk.sons) == by_road
+        assert set(by_road) < {road.key for road in g.roads}  # no member ends on a road into the source
+        # the checks read the cached index without adding a key to it
+        for prop in DEF1_PROPERTIES:
+            check_property(g, 0, PathSystem.simple(0), func, prop)
+        assert minpath.verify._last_census[1].walk is walk
+        assert dict(walk.sons) == by_road
         assert walk.groups == {t: [i for i, p in enumerate(simple) if p.terminal == t] for t in walk.groups}
         assert sorted(i for group in walk.groups.values() for i in group) == list(range(len(simple)))
         for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
