@@ -203,18 +203,15 @@ class PathFunction:
     extend: Callable[[float, Path, Road], float]
     declared_properties: frozenset[str] = field(default_factory=frozenset)
 
-    def apply(self, value: float, parent: Path, road: Road) -> float:
-        """``extend``, its result passed through `checked`."""
-        return self.checked(self.extend(value, parent, road), road)
-
     def checked(self, result: float, road: Road) -> float:
         """``result`` of extending by ``road``, rejected if NaN or not real
         (``inf`` stays legal).
 
         The solver loops and the verify census call ``extend`` directly and
         pass only a result that is not a plain non-NaN float through here:
-        ``type(c) is not float or c != c``. Every result is thus checked
-        once, with the same messages as `apply`.
+        ``type(c) is not float or c != c``. `path_value` and the circle
+        check pass every result, so every result is checked once, with the
+        same messages everywhere.
         """
         if type(result) is not float and not isinstance(result, numbers.Real):
             raise ValueError(
@@ -231,10 +228,12 @@ ZERO_COST = PathFunction("zero", 0.0, lambda value, parent, road: 0.0, frozenset
 
 
 def path_value(func: PathFunction, path: Path) -> float:
-    """Fold ``func.apply`` along the path's roads starting from the base."""
+    """Fold ``func.extend`` along the path's roads starting from the base,
+    each result passed through `PathFunction.checked`."""
     value = func.base
     for link in reversed(path._links()):
-        value = func.apply(value, link._prefix, path.graph.road(link._key))
+        road = path.graph.road(link._key)
+        value = func.checked(func.extend(value, link._prefix, road), road)
     return value
 
 

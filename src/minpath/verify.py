@@ -25,7 +25,6 @@ genuine non-positive circle and is reported.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -190,7 +189,7 @@ class _Walk:
 
 def _fold(walk: _Walk, func: PathFunction) -> list[float]:
     """``func``'s value of every member of ``walk``, indexed like it: ``values[i]
-    = func.apply(values[parent[i]], paths[parent[i]], roads[i])`` in walk
+    = func.extend(values[parent[i]], paths[parent[i]], roads[i])`` in walk
     order, so ``extend`` runs once per member other than the trivial path.
     As in the solvers, only a result that is not a plain non-NaN float goes
     through `PathFunction.checked`."""
@@ -215,17 +214,14 @@ class _Census(NamedTuple):
     witness: dict[int, Path]
 
 
-# The last walk and the last census, with what each is keyed by:
-# (graph, source, walk) and (func, census), the census always over that
-# walk. The checks are separate public functions with no object passed
-# between them, so both live here. The strong references keep the
-# identities they are keyed by from being reused while they are cached.
-# Each slot is only ever replaced whole: the walk's (with the census's)
-# emptied before another walk, the census's before another fold, so that
-# two of either are never alive at once, and each filled only by a walk or
-# a fold that finished.
-_last_walk: tuple = (None, None, None)
-_last_census: tuple = (None, None)
+# The last walk and census: (graph, source, walk, func, census), with the
+# census (or None) always folded over that walk. The checks are separate
+# public functions with no object passed between them, so it lives here.
+# The strong references keep the identities it is keyed by from being
+# reused while they are cached. The slot is read once per call and only
+# ever replaced whole, so concurrent or re-entrant calls may each walk, but
+# no call ever returns a census of another walk.
+_last: tuple = (None, None, None, None, None)
 
 
 def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> _Census:
@@ -236,29 +232,31 @@ def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -
     identity of ``graph`` and on ``source``, so `oracle_min`, `check_property`
     and `check_wisp` share it across every function checked there; each
     function's values are one `_fold` over it, so ``extend`` runs once per
-    path. The slots pin the one walk and the one census until a call on
-    another graph or source (or another function) releases them before
-    walking (or folding).
+    path. The slot, read once into a local, pins the one walk and the one
+    census until a call on another graph or source (or another function)
+    releases both (or the census) before walking (or folding).
     """
-    global _last_walk, _last_census
+    global _last
     if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
         raise ValueError(
             f"oracle requires a function without negative circles; {func.name!r} does not declare one"
         )
-    if _last_walk[0] is not graph or _last_walk[1] != source:
-        _last_walk, _last_census = (None, None, None), (None, None)
-        _last_walk = (graph, source, _Walk(graph, source, PathSystem.simple(source), graph.n - 1))
-    elif _last_census[0] is func:
-        return _last_census[1]
-    _last_census = (None, None)
-    walk = _last_walk[2]
+    last = _last  # rebound with the slot, so that it pins no more than the slot does
+    if last[0] is graph and last[1] == source:
+        if last[3] is func:
+            return last[4]
+        walk = last[2]
+    else:
+        _last = last = (None, None, None, None, None)
+        walk = _Walk(graph, source, PathSystem.simple(source), graph.n - 1)
+    _last = last = (graph, source, walk, None, None)
     values = _fold(walk, func)
     minimum, witness = {}, {}
     for t, group in walk.groups.items():
         best = min(group, key=values.__getitem__)  # ties keep the first
         minimum[t], witness[t] = values[best], walk.paths[best]
     census = _Census(walk, values, minimum, witness)
-    _last_census = (func, census)
+    _last = (graph, source, walk, func, census)
     return census
 
 
@@ -480,7 +478,7 @@ def check_no_negative_circles(
     vertices: list[int] = []
     for path, road in _walk(graph, source, PathSystem.all_paths(source), max_roads):
         del values[len(path) :], vertices[len(path) :]
-        full = func.base if road is None else func.apply(values[-1], path._prefix, road)
+        full = func.base if road is None else func.checked(func.extend(values[-1], path._prefix, road), road)
         values.append(full)
         t = path.terminal
         vertices.append(t)
@@ -559,7 +557,7 @@ def compare_tree_to_oracle(tree, oracle: OracleResult, tol: float = 1e-9) -> Pro
         b = oracle.minimum[v]
         if a == b:
             continue
-        dev = INF if math.isinf(a) or math.isinf(b) else abs(a - b)
+        dev = abs(a - b)
         if dev > worst_dev:
             worst_dev = dev
             worst_vertex = v

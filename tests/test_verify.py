@@ -7,6 +7,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import minpath
 from minpath import (
     Graph,
+    OracleResult,
     Path,
     PathFunction,
     PathSystem,
@@ -348,6 +350,19 @@ class TestCompareTreeToOracle:
         assert report.violated
         assert "covered sets differ" in report.witness
 
+    @pytest.mark.parametrize("tree_value, oracle_value", [(INF, 5.0), (-INF, INF), (INF, INF)],
+                             ids=["inf-vs-finite", "minus-inf-vs-inf", "inf-vs-inf"])
+    def test_infinite_deviations(self, tree_value, oracle_value):
+        g = single_road()
+        paths = {0: Path(g, 0), 1: Path(g, 0, (0,))}
+        tree = ShortestPathTree(0, paths, {0: 0.0, 1: tree_value})
+        oracle = OracleResult(0, {0: 0.0, 1: oracle_value}, dict(paths), 2)
+        report = compare_tree_to_oracle(tree, oracle)
+        if tree_value == oracle_value:
+            assert report.verdict == NO_VIOLATION
+        else:
+            assert report.details == {"vertex": 1, "tree": tree_value, "oracle": oracle_value, "deviation": INF}
+
     def test_mismatched_sources(self, diamond):
         system = PathSystem.simple(0)
         func = classic_distance(diamond)
@@ -401,21 +416,23 @@ class TestBoundedLengthConvergence:
 
 def test_nan_from_extend_is_rejected_by_the_checkers():
     g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 0 2 1.0\narc 1 2 1.0\n")
-
-    def extend(value, parent, road):
-        return float("nan") if road.key == 0 else value + road.weight
-
-    func = PathFunction("nan-on-k0", 0.0, extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
     system = PathSystem.simple(0)
-    message = "path function 'nan-on-k0' returned NaN extending by road 0"
-    with pytest.raises(ValueError, match=message):
-        check_no_negative_circles(g, 0, func)
-    with pytest.raises(ValueError, match=message):
-        check_property(g, 0, system, func, "NDSP")
-    with pytest.raises(ValueError, match=message):
-        check_wisp(g, 0, system, func)
-    with pytest.raises(ValueError, match=message):
-        path_value(func, Path(g, 0, (0, 2)))
+    # NaN, and a result that is not a real number at all
+    for bad, message in ((float("nan"), "returned NaN"), ("x", "returned non-numeric 'x'")):
+
+        def extend(value, parent, road):
+            return bad if road.key == 0 else value + road.weight
+
+        func = PathFunction("bad-on-k0", 0.0, extend, frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES}))
+        message = f"path function 'bad-on-k0' {message} extending by road 0"
+        with pytest.raises(ValueError, match=message):
+            check_no_negative_circles(g, 0, func)
+        with pytest.raises(ValueError, match=message):
+            check_property(g, 0, system, func, "NDSP")
+        with pytest.raises(ValueError, match=message):
+            check_wisp(g, 0, system, func)
+        with pytest.raises(ValueError, match=message):
+            path_value(func, Path(g, 0, (0, 2)))
 
 
 def counted(func):
@@ -485,7 +502,8 @@ class TestCensus:
             "print(repr(census_reports(g, 0, expected_cost(g, 0.7))))\n"
         )
         paths = [os.path.dirname(os.path.dirname(minpath.__file__)), os.path.dirname(__file__)]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        inherited = os.environ.get("PYTHONPATH")  # where pytest itself may come from
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths + ([inherited] if inherited else [])))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         fresh = ast.literal_eval(done.stdout)
         assert any("verdict='violated'" in report for report in fresh)
@@ -521,7 +539,7 @@ class TestCensus:
         g = generate_random(8, 20, 0.0, 10.0, "undirected", 4)
         func = anti_risk(g)
         oracle_min(g, 0, PathSystem.simple(0), func)
-        census = minpath.verify._last_census[1]
+        census = minpath.verify._last[4]
         walk = census.walk
         simple = list(enumerate_paths(g, 0, PathSystem.simple(0), g.n - 1))
         assert walk.paths == simple
@@ -539,7 +557,7 @@ class TestCensus:
         # the checks read the cached index without adding a key to it
         for prop in DEF1_PROPERTIES:
             check_property(g, 0, PathSystem.simple(0), func, prop)
-        assert minpath.verify._last_census[1].walk is walk
+        assert minpath.verify._last[4].walk is walk
         assert dict(walk.sons) == by_road
         assert walk.groups == {t: [i for i, p in enumerate(simple) if p.terminal == t] for t in walk.groups}
         assert sorted(i for group in walk.groups.values() for i in group) == list(range(len(simple)))
@@ -554,14 +572,14 @@ class TestCensus:
         walks = []
         for func in (anti_risk(g), blocked_cost(g, 0.3), expected_cost(g, 0.7)):
             census_reports(g, 0, func)
-            walks.append(minpath.verify._last_census[1].walk)
+            walks.append(minpath.verify._last[4].walk)
         assert walks[0] is walks[1] is walks[2]
         census_reports(g, 1, classic_distance(g))
-        assert minpath.verify._last_census[1].walk is not walks[0]
+        assert minpath.verify._last[4].walk is not walks[0]
 
     def test_another_graph_releases_the_walk_before_walking(self, diamond, monkeypatch):
         oracle_min(diamond, 0, PathSystem.simple(0), classic_distance(diamond))
-        released = weakref.ref(minpath.verify._last_walk[2])
+        released = weakref.ref(minpath.verify._last[2])
         seen = []
         extended = Path.extended
 
@@ -588,6 +606,51 @@ class TestCensus:
 
         oracle_min(diamond, 0, system, PathFunction("next", 0.0, extend, frozenset()))
         assert seen and all(seen)
+
+    def test_a_reentrant_call_never_leaves_a_census_beside_another_walk(self):
+        system = PathSystem.simple(0)
+        ga, gb = (generate_random(6, 10, 0.0, 10.0, "directed", seed) for seed in (1, 2))
+        expected = oracle_min(gb, 0, system, classic_distance(gb)).minimum
+        assert oracle_min(ga, 0, system, classic_distance(ga)).minimum != expected
+        shared = classic_distance(gb)
+        calls = [0]
+
+        def extend(value, parent, road):
+            calls[0] += 1
+            if calls[0] == 2:  # part-way through the fold over ga's walk
+                oracle_min(gb, 0, system, shared)
+            return value + road.weight
+
+        outer = PathFunction("outer", 0.0, extend, frozenset())
+        oracle_min(ga, 0, system, outer)
+        assert oracle_min(gb, 0, system, outer).minimum == expected
+
+    def test_a_concurrent_call_never_leaves_a_census_beside_another_walk(self):
+        system = PathSystem.simple(0)
+        ga, gb = (generate_random(6, 10, 0.0, 10.0, "directed", seed) for seed in (1, 2))
+        expected_b = oracle_min(gb, 0, system, classic_distance(gb)).minimum
+        expected = oracle_min(ga, 0, system, classic_distance(ga)).minimum
+        paused, resume = threading.Event(), threading.Event()
+        done = []
+
+        def extend(value, parent, road):
+            if threading.current_thread() is worker and not paused.is_set():
+                paused.set()  # the worker's fold over gb waits here while the main thread folds over ga
+                resume.wait(timeout=30)
+            return value + road.weight
+
+        func = PathFunction("shared", 0.0, extend, frozenset())
+        worker = threading.Thread(target=lambda: done.append(oracle_min(gb, 0, system, func)))
+        worker.start()
+        try:
+            assert paused.wait(timeout=30)
+            assert oracle_min(ga, 0, system, func).minimum == expected
+        finally:
+            resume.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive() and len(done) == 1
+        assert oracle_min(ga, 0, system, func).minimum == expected
+        assert done[0].minimum == expected_b
 
     def test_gate_runs_on_every_call(self, diamond):
         parity = parity_length(diamond)
