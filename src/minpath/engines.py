@@ -57,7 +57,8 @@ class UnreachableVertexError(ValueError):
 class RunStats:
     """Exact, deterministic operation counts for one solver run.
 
-    For embfa, ``extend_calls`` counts the relaxation scans and the
+    For eda, ``rounds`` is the number of vertices it covered besides the
+    source. For embfa, ``extend_calls`` counts the relaxation scans and the
     certificate pass, and ``rounds`` the passes, at most n. ``vetoed``
     counts the roads out of embfa's returned tree whose extension of the
     tail's tree path falls below the head's tree value, each road once
@@ -96,7 +97,7 @@ class ShortestPathTree:
 
     @cached_property
     def parent(self) -> dict[int, tuple[int, int]]:
-        return {v: (path._prefix.terminal, path._key) for v, path in self.paths.items() if v != self.source}
+        return {v: (path._road.tail, path._road.key) for v, path in self.paths.items() if v != self.source}
 
     @cached_property
     def covered(self) -> set[int]:
@@ -156,8 +157,11 @@ def eda(
     improved label is pushed on a heap keyed (value, vertex, tail, key),
     with the road after the key for growing v's path; entries of covered
     vertices are skipped when popped, so a round costs O(log m) and picks
-    the smallest value, then the smallest vertex. Each result of
-    ``extend`` that is not a plain non-NaN float goes through
+    the smallest value, then the smallest vertex. The heap starts with the
+    source's entry, whose road is None, and each pop of an uncovered vertex
+    builds its tree path, fixes its value and scans its roads, so
+    ``stats.rounds`` counts the covered vertices besides the source. Each
+    result of ``extend`` that is not a plain non-NaN float goes through
     `PathFunction.checked`; the counts are kept in locals until the end.
 
     Requires a function declaring (or implying) SOPSP, WISP and NDSP; the
@@ -167,15 +171,17 @@ def eda(
     _check_source(graph, source, system)
     _require_properties(func, system, {SOPSP, WISP, NDSP}, "eda")
     extend, checked, out = func.extend, func.checked, graph._out
-    extend_calls = relaxations = rounds = 0
-    value: dict[int, float] = {source: func.base}
-    paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
+    extend_calls = relaxations = 0
+    value: dict[int, float] = {}
+    paths: dict[int, Path] = {}  # the tree path of each covered vertex
     labels: dict[int, tuple] = {}  # best frontier entry per uncovered vertex
-    frontier: list[tuple] = []  # (value, vertex, tail, key, road), lazily deleted
-    u = source
-    while u is not None:
-        path_u = paths[u]
-        value_u = value[u]
+    frontier: list[tuple] = [(func.base, source, -1, -1, None)]  # (value, vertex, tail, key, road), lazily deleted
+    while frontier:
+        value_u, u, tail, _, road = heapq.heappop(frontier)
+        if u in paths:
+            continue  # stale entry: u was fixed by a smaller label
+        paths[u] = path_u = Path(graph, source) if road is None else paths[tail]._grown(road)
+        value[u] = value_u
         for road in out[u]:
             v = road.head
             if v in paths:
@@ -191,17 +197,7 @@ def eda(
                 labels[v] = label
                 heapq.heappush(frontier, label)
                 relaxations += 1
-        u = None
-        while frontier:
-            candidate, v, tail, _, road = heapq.heappop(frontier)
-            if v in paths:
-                continue  # stale entry: v was fixed by a smaller label
-            paths[v] = paths[tail]._grown(road)
-            value[v] = candidate
-            rounds += 1
-            u = v  # scanned next
-            break
-    return ShortestPathTree(source, paths, value), RunStats(extend_calls, relaxations, rounds)
+    return ShortestPathTree(source, paths, value), RunStats(extend_calls, relaxations, len(paths) - 1)
 
 
 def embfa(
@@ -356,7 +352,7 @@ def format_tree(tree: ShortestPathTree, stats: RunStats) -> str:
         if prefix is not None:
             u = prefix.terminal
             if u in text and paths[u] is prefix:
-                text[v] = f"{text[u]} -> {path.terminal}[k{path._key}]"
+                text[v] = f"{text[u]} -> {path.terminal}[k{path._road.key}]"
                 continue
         text[v] = format_path(path)
     lines = [f"{v} value={repr(value[v]) if v in value else '-'} path={text[v]}" for v in sorted(paths)]

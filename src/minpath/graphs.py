@@ -218,10 +218,14 @@ def serialize_graph(graph: Graph) -> str:
     so round-tripping is exact for graphs whose keys are dense (every parsed
     or generated graph; a graph that went through `remove_road` is re-keyed).
     Raises ValueError on a self-loop road, since `parse_graph` rejects its
-    line: the text format holds no self-loop.
+    line: the text format holds no self-loop. Raises ValueError on a vertex
+    label that is empty, holds whitespace or holds ``#``, since `parse_graph`
+    would reject its line or read back another label: a label is one token.
     """
     lines = [f"g {graph.n} {graph.m}"]
     for v in graph.vertices:
+        if v.label is not None and (v.label.split() != [v.label] or "#" in v.label):
+            raise ValueError(f"vertex {v.id} label {v.label!r} is not one token, which the text format needs")
         lines.append(f"v {v.id}" if v.label is None else f"v {v.id} {v.label}")
     for r in graph.roads:
         if r.tail == r.head:

@@ -71,12 +71,12 @@ class Path:
     The empty road list is the trivial path that starts and ends at the
     source. Consecutive roads must chain: road i ends where road i+1 begins.
     Instances are immutable and persistent: a path is its one-road-shorter
-    prefix plus one road, and shares that prefix with every other path that
-    extends it, so ``extended`` is O(1) and copies nothing. ``roads`` and
-    ``vertices`` build their tuples on request, in O(length).
+    prefix plus one road, and it holds both. It shares that prefix with every
+    other path that extends it, so ``extended`` is O(1) and copies nothing.
+    ``roads`` and ``vertices`` build their tuples on request, in O(length).
     """
 
-    __slots__ = ("graph", "source", "terminal", "_prefix", "_key", "_length")
+    __slots__ = ("graph", "source", "terminal", "_prefix", "_road", "_length")
 
     def __init__(self, graph: Graph, source: int, roads: tuple[int, ...] | list[int] = ()):
         if not 0 <= source < graph.n:
@@ -84,13 +84,13 @@ class Path:
         self.graph = graph
         self.source = source
         self.terminal = source
-        self._prefix = self._key = None  # the trivial path has neither
+        self._prefix = self._road = None  # the trivial path has neither
         self._length = 0
         if roads:
             path = Path(graph, source)
             for key in roads:
                 path = path.extended(key)
-            self.terminal, self._prefix, self._key, self._length = path.terminal, path._prefix, path._key, path._length
+            self.terminal, self._prefix, self._road, self._length = path.terminal, path._prefix, path._road, path._length
 
     def _links(self) -> list["Path"]:
         """The nontrivial prefixes, longest (this path) first."""
@@ -103,7 +103,7 @@ class Path:
 
     @property
     def roads(self) -> tuple[int, ...]:
-        return tuple([path._key for path in reversed(self._links())])
+        return tuple([path._road.key for path in reversed(self._links())])
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -123,7 +123,7 @@ class Path:
         path.source = self.source
         path.terminal = road.head
         path._prefix = self
-        path._key = road.key
+        path._road = road
         path._length = self._length + 1
         return path
 
@@ -145,8 +145,8 @@ class Path:
         if self.source != other.source or self._length != other._length:
             return False
         a, b = self, other
-        while a is not b:  # two trivial paths of one source both end at None
-            if a._key != b._key:
+        while a is not b and a._road is not None:  # equal lengths reach the trivial paths together
+            if a._road.key != b._road.key:
                 return False
             a, b = a._prefix, b._prefix
         return True
@@ -160,7 +160,7 @@ class Path:
 
 def format_path(path: Path) -> str:
     """Serialize as ``s=v0 -> v1[k3] -> v2[k7]`` with road keys in brackets."""
-    return " -> ".join([f"s={path.source}", *[f"{p.terminal}[k{p._key}]" for p in reversed(path._links())]])
+    return " -> ".join([f"s={path.source}", *[f"{p.terminal}[k{p._road.key}]" for p in reversed(path._links())]])
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,7 @@ def path_value(func: PathFunction, path: Path) -> float:
     each result passed through `PathFunction.checked`."""
     value = func.base
     for link in reversed(path._links()):
-        road = path.graph.road(link._key)
-        value = func.checked(func.extend(value, link._prefix, road), road)
+        value = func.checked(func.extend(value, link._prefix, link._road), link._road)
     return value
 
 

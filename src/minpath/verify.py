@@ -7,10 +7,10 @@ the quantified definitions exhaustively within an enumeration bound: a
 ``no-violation-found`` verdict is bounded evidence, not proof, while a
 ``violated`` verdict always carries a concrete witness.
 
-One depth-first generator, `_walk`, streams the members of a path system
-within a bound; every walk here reads it. The oracle records the simple
-paths of a graph and source from it once, and folds each function's values
-over that record once (see `_oracle`): `oracle_min`, `check_wisp` and
+One depth-first generator, `enumerate_paths`, streams the members of a
+path system within a bound; every walk here reads it. The oracle records
+the simple paths of a graph and source from it once, and folds each
+function's values over that record once (see `_oracle`): `oracle_min`, `check_wisp` and
 `check_property` on the simple system read that census, so checking
 several functions on one graph and source walks its simple paths once and
 extends each of them once per function.
@@ -113,21 +113,16 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
 
     Children are visited in road-key order and the trivial path comes
     first, so the stream order is deterministic and complete for the bound.
+    Each member is its parent member grown by the road it holds.
     """
-    return (path for path, _ in _walk(graph, source, system, max_roads))
-
-
-def _walk(graph: Graph, source: int, system: PathSystem, max_roads: int) -> Iterator[tuple[Path, Road | None]]:
-    """(member, its last road) pairs in `enumerate_paths` order; the trivial
-    path comes first, with road None. The one depth-first loop here."""
     if max_roads < 0:
         raise ValueError("max_roads must be nonnegative")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
 
-    def walk() -> Iterator[tuple[Path, Road | None]]:
+    def walk() -> Iterator[Path]:
         root = Path(graph, source)
-        yield root, None
+        yield root
         simple = system.kind == SIMPLE
         # one entry per path on the current branch: it and its remaining
         # roads, so each yield costs O(1) whatever the depth
@@ -139,8 +134,8 @@ def _walk(graph: Graph, source: int, system: PathSystem, max_roads: int) -> Iter
                 head = road.head
                 if simple and head in on_branch:
                     continue
-                child = path.extended(road.key)
-                yield child, road
+                child = path._grown(road)
+                yield child
                 if child._length < max_roads:
                     stack.append((child, iter(graph.out_roads(head))))
                     on_branch.add(head)
@@ -156,49 +151,46 @@ class _Walk:
     """The members of ``system`` with at most ``max_roads`` roads, in
     `enumerate_paths` order.
 
-    Member i is ``paths[i]``: member ``parent[i]`` extended by road
-    ``roads[i]`` (the trivial path, member 0, has neither). ``sons`` maps
-    each road key to the members whose last road it is, in walk order: the
-    sons by that road of members at its tail. ``groups`` maps each terminal
+    Member i is ``paths[i]``: member ``parent[i]`` (its ``_prefix``)
+    extended by road ``paths[i]._road`` (the trivial path, member 0, has
+    neither). ``sons`` maps each road key to the members whose last road it
+    is, in walk order: the sons by that road of members at its tail. ``groups`` maps each terminal
     to its members' indices in walk order. A member at the bound has no
     sons here.
     """
 
-    __slots__ = ("paths", "parent", "roads", "sons", "groups", "__weakref__")
+    __slots__ = ("paths", "parent", "sons", "groups", "__weakref__")
 
     def __init__(self, graph: Graph, source: int, system: PathSystem, max_roads: int):
-        members = _walk(graph, source, system, max_roads)
-        root, _ = next(members)
-        self.paths = paths = [root]
+        members = enumerate_paths(graph, source, system, max_roads)
+        self.paths = paths = [next(members)]
         self.parent = parent = [-1]
-        self.roads = roads = [None]
         self.sons = sons = defaultdict(list)
         self.groups = groups = defaultdict(list)
         groups[source].append(0)
         branch = [0]  # branch[d]: the index of the current branch's member with d roads
-        for i, (path, road) in enumerate(members, 1):
+        for i, path in enumerate(members, 1):
             depth = path._length
             parent.append(branch[depth - 1])
             del branch[depth:]
             branch.append(i)
             paths.append(path)
-            roads.append(road)
-            sons[road.key].append(i)
-            groups[road.head].append(i)
+            sons[path._road.key].append(i)
+            groups[path.terminal].append(i)
 
 
 def _fold(walk: _Walk, func: PathFunction) -> list[float]:
     """``func``'s value of every member of ``walk``, indexed like it: ``values[i]
-    = func.extend(values[parent[i]], paths[parent[i]], roads[i])`` in walk
-    order, so ``extend`` runs once per member other than the trivial path.
+    = func.extend(values[parent[i]], paths[i]._prefix, paths[i]._road)`` in
+    walk order, so ``extend`` runs once per member other than the trivial path.
     As in the solvers, only a result that is not a plain non-NaN float goes
     through `PathFunction.checked`."""
-    extend, checked, paths, parent, roads = func.extend, func.checked, walk.paths, walk.parent, walk.roads
+    extend, checked, paths, parent = func.extend, func.checked, walk.paths, walk.parent
     values = [func.base]
     for i in range(1, len(paths)):
-        p = parent[i]
-        road = roads[i]
-        value = extend(values[p], paths[p], road)
+        path = paths[i]
+        road = path._road
+        value = extend(values[parent[i]], path._prefix, road)
         if type(value) is not float or value != value:
             value = checked(value, road)
         values.append(value)
@@ -305,7 +297,10 @@ def check_property(
     uncached; the sons of a member at the bound, which the walk cut off,
     are valued only where a clause reads them: in each (terminal, road)
     list, and for the monotone clauses those of minimum members only. The
-    first violation in enumeration order is reported.
+    reported violation is fixed by order, with members in walk order: for
+    NDSP and INSP the least (terminal, member, road key); for the order
+    clauses the least terminal, then the least road key, then the pair
+    scan's first (a, b) there.
     """
     _require_tolerance(tol)
     if prop not in DEF1_PROPERTIES:
@@ -321,7 +316,7 @@ def check_property(
         minima = _oracle(graph, source, system, func).minimum if prop in _MINIMUM_HYPOTHESIS else None
         walk = _Walk(graph, source, system, max_roads)
         values = _fold(walk, func)
-    paths, parent, roads, sons, groups = walk.paths, walk.parent, walk.roads, walk.sons, walk.groups
+    paths, parent, sons, groups = walk.paths, walk.parent, walk.sons, walk.groups
     simple = system.kind == SIMPLE
 
     def cut(group: list[int], minimum: float | None = None) -> list[tuple[int, tuple[int, ...]]]:
@@ -345,7 +340,7 @@ def check_property(
     if prop in (NDSP, INSP):
         drops = []  # (terminal, member, road key, son value) of each son below its minimum parent
         for j in [j for j, p in enumerate(parent) if j and values[j] < values[p] - tol]:
-            p, road = parent[j], roads[j]
+            p, road = parent[j], paths[j]._road
             if _close(values[p], minima[road.tail], tol):
                 drops.append((road.tail, p, road.key, values[j]))
         for t, group in groups.items():
@@ -476,8 +471,9 @@ def check_no_negative_circles(
     # each value one checked extension of the one before
     values: list[float] = []
     vertices: list[int] = []
-    for path, road in _walk(graph, source, PathSystem.all_paths(source), max_roads):
+    for path in enumerate_paths(graph, source, PathSystem.all_paths(source), max_roads):
         del values[len(path) :], vertices[len(path) :]
+        road = path._road
         full = func.base if road is None else func.checked(func.extend(values[-1], path._prefix, road), road)
         values.append(full)
         t = path.terminal
@@ -516,10 +512,10 @@ def check_wisp(
     _require_tolerance(tol)
     census = _oracle(graph, source, system, func)
     minimum, values = census.minimum, census.values
-    paths, parent, roads = census.walk.paths, census.walk.parent, census.walk.roads
+    paths, parent = census.walk.paths, census.walk.parent
     flags = [True]  # flags[i]: member i and each of its prefixes is a minimum path
     for i in range(1, len(values)):
-        flags.append(flags[parent[i]] and _close(values[i], minimum[roads[i].head], tol))
+        flags.append(flags[parent[i]] and _close(values[i], minimum[paths[i].terminal], tol))
     witnessed = {paths[i].terminal for i, flag in enumerate(flags) if flag}
     scope = f"max_roads:{graph.n - 1}"
     missing = sorted(set(minimum) - witnessed)

@@ -213,6 +213,21 @@ class TestOracle:
             "# enumerated_paths=11\n"
         )
 
+    @pytest.mark.parametrize("extra, digest", [
+        (["--function", "antirisk"], "8ccd2859003654e15db9463883a6d46c9a246f431f4b4e89e5e123037dc9862e"),
+        (["--function", "expected-cost", "--p", "0.7"],
+         "09ec616d7b046b2af32409ca3c090cbbf86b5bc86a638d83164249aa8ac086da"),
+    ], ids=["antirisk", "expected-cost"])
+    def test_witnesses_pinned_output(self, tmp_path, capsys, extra, digest):
+        # digests of the 9-line stdout: every minimum and its witness path's text
+        assert main(["gen", "--n", "8", "--m", "20", "--seed", "1", "--mode", "undirected"]) == 0
+        graph_file = tmp_path / "u1.g"
+        graph_file.write_text(capsys.readouterr().out)
+        assert main(["oracle", "--graph", str(graph_file), "--source", "0"] + extra) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n# enumerated_paths=1113\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_against_oracle_passes(self, diamond_file, capsys):

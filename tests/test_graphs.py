@@ -116,6 +116,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="road 1 is a self-loop at vertex 1"):
             serialize_graph(g)
 
+    @pytest.mark.parametrize("label", ["a b", "x#y", "", " a", "a\n", "\t"])
+    def test_label_that_is_not_one_token_refused(self, label):
+        # parse_graph would reject the vertex line or read back another label, so no text is written
+        g = Graph([Vertex(0, label), Vertex(1)], [Road(0, 0, 1, 1.0)])
+        with pytest.raises(ValueError, match="vertex 0 label .* is not one token"):
+            serialize_graph(g)
+
+    def test_one_token_labels_round_trip(self):
+        g = Graph([Vertex(0, "a-b"), Vertex(1, "x.y"), Vertex(2)], [Road(0, 0, 1, 1.0), Road(1, 1, 2, 1.0)])
+        assert [v.label for v in parse_graph(serialize_graph(g)).vertices] == ["a-b", "x.y", None]
+
 
 class TestRemoveRoad:
     def test_removes_one_key(self):

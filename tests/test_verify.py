@@ -25,6 +25,7 @@ from minpath import (
     PathSystem,
     Road,
     ShortestPathTree,
+    Vertex,
     anti_risk,
     blocked_cost,
     check_no_negative_circles,
@@ -44,7 +45,7 @@ from minpath import (
     serialize_graph,
 )
 from minpath.paths import INF, INSP, NDSP, NO_NEGATIVE_CIRCLES, OP, OPSP, SOP, SOPSP, WISP, WOP, WOPSP
-from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED, _walk
+from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED
 
 from conftest import brute_simple_paths, parity_length, random_instances
 
@@ -171,6 +172,19 @@ class TestCheckProperty:
             report = check_property(g, 0, system, func, "NDSP")
             assert report.violated
             assert report.details["path"].roads == (1, 2)
+
+    @pytest.mark.parametrize("prop", ["NDSP", "INSP"])
+    def test_a_drop_at_a_son_cut_off_by_the_bound(self, prop):
+        # Only road k2 lowers the value, and its one tail path has two roads: at
+        # bound 2 the walk cuts that son off and the check values it apart; at
+        # bound 3 the census holds it. Both report the same violation.
+        g = Graph([Vertex(v) for v in range(4)], [Road(k, k, k + 1, 1.0) for k in range(3)])
+        func = PathFunction("drop-on-k2", 0.0, lambda value, parent, road: value + (-5.0 if road.key == 2 else 1.0))
+        system = PathSystem.simple(0)
+        cut, census = (check_property(g, 0, system, func, prop, max_roads) for max_roads in (2, 3))
+        assert cut.violated and cut.scope == "max_roads:2" and census.scope == "max_roads:3"
+        assert cut.witness == census.witness == "P=s=0 -> 1[k0] -> 2[k1] f=2.0; son via k2 f=-3.0"
+        assert cut.details == census.details
 
     def test_all_paths_pairs_include_circles(self):
         # A road out of a non-simple path costs 100 less, so the circle path
@@ -543,11 +557,13 @@ class TestCensus:
         walk = census.walk
         simple = list(enumerate_paths(g, 0, PathSystem.simple(0), g.n - 1))
         assert walk.paths == simple
-        assert len(walk.parent) == len(walk.roads) == len(census.values) == len(simple)
+        assert len(walk.parent) == len(census.values) == len(simple)
         for i, path in enumerate(walk.paths):
             assert census.values[i] == path_value(func, path)
             if i:
-                assert walk.paths[walk.parent[i]].extended(walk.roads[i].key) == path
+                # each member links to its parent member itself, by a road of the graph
+                assert path._prefix is walk.paths[walk.parent[i]]
+                assert path._road is g.road(path.roads[-1])
         # each road key maps to exactly the members whose last road it is, in walk order
         by_road = {}
         for i, path in enumerate(simple[1:], 1):
@@ -562,10 +578,10 @@ class TestCensus:
         assert walk.groups == {t: [i for i, p in enumerate(simple) if p.terminal == t] for t in walk.groups}
         assert sorted(i for group in walk.groups.values() for i in group) == list(range(len(simple)))
         for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
-            # every member with its last road; only the trivial path has none
-            pairs = list(_walk(g, 0, system, 4))
-            assert len(pairs) > 1 and pairs[0] == (Path(g, 0), None)
-            assert all(road is not None and road.key == path.roads[-1] for path, road in pairs[1:])
+            # every member holds its last road; only the trivial path has none
+            members = list(enumerate_paths(g, 0, system, 4))
+            assert len(members) > 1 and members[0] == Path(g, 0) and members[0]._road is None
+            assert all(path._road is not None for path in members[1:])
 
     def test_functions_on_one_graph_and_source_share_one_walk(self):
         g = generate_random(8, 20, 0.0, 10.0, "directed", 4)
@@ -581,13 +597,13 @@ class TestCensus:
         oracle_min(diamond, 0, PathSystem.simple(0), classic_distance(diamond))
         released = weakref.ref(minpath.verify._last[2])
         seen = []
-        extended = Path.extended
+        grown = Path._grown
 
-        def watched(path, key):
+        def watched(path, road):
             seen.append(released() is None)
-            return extended(path, key)
+            return grown(path, road)
 
-        monkeypatch.setattr(Path, "extended", watched)
+        monkeypatch.setattr(Path, "_grown", watched)
         twin = parse_graph(serialize_graph(diamond))  # an equal graph, another object
         oracle_min(twin, 0, PathSystem.simple(0), classic_distance(twin))
         assert seen and all(seen)
