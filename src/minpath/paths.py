@@ -296,42 +296,44 @@ class DetourTable:
     rejected when its entry is first filled, and so is an origin (as
     ``dijkstra_classic`` rejects a source).
 
-    Each origin gets one base search, which keeps the shortest-path tree
-    it settles: every vertex's parent road. The base distances are the
-    minimal left-fold sums over all paths (float addition with a
-    nonnegative weight is monotone), and each tree path attains its
-    vertex's distance. So a query is answered by one of three routes:
+    A query is answered by one of three routes, tried in this order:
 
-    - The deleted road is not its head's parent road. Every tree path
-      survives the deletion, so the answer is read from the base row. This
-      holds for a tight road tied with the tree road too.
-    - The deleted road u->v is v's parent road and the origin is not u, as
-      anti-risk asks. Only v's subtree loses its tree paths, so a target
-      outside it is read from the base row. For one inside, a search
-      starts from a copy of the base row with the subtree's entries reset,
-      seeds each subtree vertex with the best ``base[y] + w`` over the
-      other roads y->x entering it from outside, and runs the heap loop
-      from those seeds until ``target`` is settled. No road out of the
-      subtree lowers a vertex outside it, because its label is at least
-      ``base[x] + w``, which is at least the head's base distance. The
-      in-road lists it seeds from are built with the table; the origin's
-      child lists, which find the subtree, are built with its first
-      subtree search and kept beside its base row.
-    - The deleted road is a parent road and the origin is its tail, as
-      blocked-cost and expected-cost ask. The search runs from the origin
-      alone, skips the road and stops once ``target`` is settled.
+    - The origin is the deleted road's tail, as blocked-cost and
+      expected-cost ask. One search runs from the origin alone, skips the
+      road and stops once ``target`` is settled, whether or not the road is
+      a tree road.
+    - Any other origin, as anti-risk's source, gets one base search the
+      first time it is asked, which keeps the shortest-path tree it
+      settles: every vertex's parent road, and every vertex's child list.
+      The base distances are the minimal left-fold sums over all paths
+      (float addition with a nonnegative weight is monotone), and each tree
+      path attains its vertex's distance. If the deleted road is not its
+      head's parent road, every tree path survives the deletion, so the
+      answer is read from the base row. This holds for a tight road tied
+      with the tree road too.
+    - The deleted road u->v is v's parent road. Only v's subtree, found
+      from the child lists, loses its tree paths, so a target outside it is
+      read from the base row. For one inside, a search starts from a copy
+      of the base row with the subtree's entries reset, seeds each subtree
+      vertex with the best ``base[y] + w`` over the other roads y->x
+      entering it from outside, and runs the heap loop from those seeds
+      until ``target`` is settled. No road out of the subtree lowers a
+      vertex outside it, because its label is at least ``base[x] + w``,
+      which is at least the head's base distance. The in-road lists it
+      seeds from are built with the table.
 
+    The first route and the base row give the same answer where both
+    apply: each is the minimal left-fold sum in the graph without the road.
     Every answer is cached under its whole key, so a repeated query is one
     lookup and a first-time query one failed lookup before its route. A
-    first-time query by either tree-road route runs at most one search, so a
-    caller that wants every target of one deleted road should run
-    ``dijkstra_classic(remove_road(graph, deleted), origin)`` instead. An
+    first-time query by the first or the third route runs at most one
+    search, so a caller that wants every target of one deleted road should
+    run ``dijkstra_classic(remove_road(graph, deleted), origin)`` instead. An
     origin asked only about roads out of itself, as by blocked-cost and
-    expected-cost, takes the first or the third route and never builds
-    child lists. Anti-risk, blocked-cost and expected-cost reject a table
-    built for another graph. A graph with a negative road is rejected:
-    every built-in function that reads a table requires nonnegative
-    weights.
+    expected-cost, takes the first route and never builds a base tree.
+    Anti-risk, blocked-cost and expected-cost reject a table built for
+    another graph. A graph with a negative road is rejected: every built-in
+    function that reads a table requires nonnegative weights.
 
     Entries fill on demand and are never invalidated (the graph is
     immutable). Concurrent fills race benignly: every writer computes
@@ -344,8 +346,8 @@ class DetourTable:
         self._into: list[list[Road]] = [[] for _ in range(graph.n)]
         for r in graph.roads:
             self._into[r.head].append(r)
-        # origin -> [base row, parent roads, child lists (None until its first subtree search)]
-        self._trees: dict[int, list] = {}
+        # origin -> (base row, parent roads, child lists)
+        self._trees: dict[int, tuple[list[float], list[Road | None], list[list[int]]]] = {}
         self._entries: dict[tuple[int, int, int], float] = {}
 
     def distance(self, deleted: int, origin: int, target: int) -> float:
@@ -360,22 +362,21 @@ class DetourTable:
         if not 0 <= target < n:
             raise ValueError(f"target {target} out of range")
         road = self.graph.road(deleted)
+        if origin == road.tail:
+            return _single_source(self.graph, origin, deleted, target)[0][target]
         tree = self._trees.get(origin)
         if tree is None:
             if not 0 <= origin < n:
                 raise ValueError(f"source {origin} out of range")
-            tree = self._trees[origin] = [*_single_source(self.graph, origin), None]
-        base, parent, children = tree
-        if parent[road.head] is not road:
-            return base[target]
-        if origin == road.tail:
-            return _single_source(self.graph, origin, deleted, target)[0][target]
-        if children is None:
+            base, parent = _single_source(self.graph, origin)
             children = [[] for _ in base]
             for v, r in enumerate(parent):
                 if r is not None:
                     children[r.tail].append(v)
-            tree[2] = children  # published whole, so a concurrent fill never reads a partial list
+            tree = self._trees[origin] = (base, parent, children)
+        base, parent, children = tree
+        if parent[road.head] is not road:
+            return base[target]
         return self._subtree_search(base, children, road, target)
 
     def _subtree_search(self, base: list[float], children: list[list[int]], road: Road, target: int) -> float:

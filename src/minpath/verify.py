@@ -219,16 +219,20 @@ _last: tuple = (None, None, None, None, None)
 def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> _Census:
     """The census of one function on one graph and source, behind the oracle's gate.
 
-    ``system`` only feeds the gate, which runs on every call: the walk is
-    always the simple system's, to depth n-1. The walk depends only on the
-    identity of ``graph`` and on ``source``, so `oracle_min`, `check_property`
-    and `check_wisp` share it across every function checked there; each
-    function's values are one `_fold` over it, so ``extend`` runs once per
-    path. The slot, read once into a local, pins the one walk and the one
-    census until a call on another graph or source (or another function)
-    releases both (or the census) before walking (or folding).
+    ``system`` only feeds the checks, which run on every call before any
+    walk: its source must be ``source``, as `enumerate_paths` requires, and
+    its kind feeds the gate. The walk is always the simple system's, to
+    depth n-1. The walk depends only on the identity of ``graph`` and on
+    ``source``, so `oracle_min`, `check_property` and `check_wisp` share it
+    across every function checked there; each function's values are one
+    `_fold` over it, so ``extend`` runs once per path. The slot, read once
+    into a local, pins the one walk and the one census until a call on
+    another graph or source (or another function) releases both (or the
+    census) before walking (or folding).
     """
     global _last
+    if system.source != source:
+        raise ValueError(f"path system source {system.source} does not match {source}")
     if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
         raise ValueError(
             f"oracle requires a function without negative circles; {func.name!r} does not declare one"
@@ -530,7 +534,9 @@ def check_wisp(
 def compare_tree_to_oracle(tree, oracle: OracleResult, tol: float = 1e-9) -> PropertyReport:
     """Check a solver tree against oracle minima: same coverage, same values.
 
-    Reports the worst-deviating vertex on failure.
+    Reports the worst-deviating vertex on failure. A tree without a value at
+    a covered vertex, as `sta` builds, raises ``ValueError`` naming the
+    first such vertex.
     """
     _require_tolerance(tol)
     if tree.source != oracle.source:
@@ -549,7 +555,9 @@ def compare_tree_to_oracle(tree, oracle: OracleResult, tol: float = 1e-9) -> Pro
     worst_vertex = None
     worst_dev = 0.0
     for v in sorted(oracle_covered):
-        a = tree.value[v]
+        a = tree.value.get(v)
+        if a is None:
+            raise ValueError(f"the tree has no value at covered vertex {v}")
         b = oracle.minimum[v]
         if a == b:
             continue

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minpath.graphs
 import minpath.paths
 from minpath import (
     INF,
@@ -199,6 +198,22 @@ class TestPathValue:
 
 
 class TestDetourTable:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The arguments of every search the table runs, one entry each;
+        `dijkstra_classic`, called from the test, is not counted."""
+        searches = []
+
+        def counting(run):
+            def counted(*args, **kwargs):
+                searches.append(args)
+                return run(*args, **kwargs)
+            return counted
+
+        for name in ("_dijkstra", "_single_source"):
+            monkeypatch.setattr(minpath.paths, name, counting(getattr(minpath.paths, name)))
+        return searches
+
     def test_deletion_disconnects(self):
         g = single_road()
         table = DetourTable(g)
@@ -289,18 +304,9 @@ class TestDetourTable:
                     for target in range(g.n):
                         assert table.distance(road.key, origin, target) == expected[target]
 
-    def test_one_search_per_origin_and_tree_row(self, diamond, monkeypatch):
+    def test_one_search_per_origin_and_tree_row(self, diamond, searches):
         base, from_a = dijkstra_classic(diamond, 0), dijkstra_classic(diamond, 1)
         without_at = dijkstra_classic(remove_road(diamond, 6), 0)
-        searches = []
-        loop = minpath.graphs._dijkstra
-
-        def counted(*args, **kwargs):
-            searches.append(args)
-            return loop(*args, **kwargs)
-
-        monkeypatch.setattr(minpath.graphs, "_dijkstra", counted)
-        monkeypatch.setattr(minpath.paths, "_dijkstra", counted)
         table = DetourTable(diamond)
         # b's tree road is s->b (key 2); a->b (key 4) is tight and tied with it
         assert base[1] + diamond.road(4).weight == base[2]
@@ -321,19 +327,18 @@ class TestDetourTable:
         assert table.distance(9, 0, 2) == base[2]  # t->b, not asked before
         assert len(searches) == 3
 
-    def test_target_outside_the_subtree_reads_the_base_row(self, monkeypatch):
+    def test_tail_origin_runs_one_search_and_builds_no_base_tree(self, diamond, searches):
+        expected = {r.key: dijkstra_classic(remove_road(diamond, r.key), r.tail)[r.head] for r in diamond.roads}
+        table = DetourTable(diamond)
+        # every road is asked as blocked-cost and expected-cost ask: from its tail, for its head
+        for road in diamond.roads:
+            assert table.distance(road.key, road.tail, road.head) == expected[road.key]
+        assert len(searches) == diamond.m == 10
+
+    def test_target_outside_the_subtree_reads_the_base_row(self, searches):
         g = generate_random(40, 160, 0.0, 10.0, "directed", 1)
         roads = [road for road in g.roads if road.tail != 0]  # tail 0 takes the tail-origin route
         expected = {road.key: dijkstra_classic(remove_road(g, road.key), 0) for road in roads}
-        searches = []
-        loop = minpath.graphs._dijkstra
-
-        def counted(*args, **kwargs):
-            searches.append(args)
-            return loop(*args, **kwargs)
-
-        monkeypatch.setattr(minpath.graphs, "_dijkstra", counted)
-        monkeypatch.setattr(minpath.paths, "_dijkstra", counted)
         table = DetourTable(g)
         table.distance(0, 0, 0)
         assert len(searches) == 1  # the base search from origin 0

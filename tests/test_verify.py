@@ -43,6 +43,7 @@ from minpath import (
     parse_graph,
     path_value,
     serialize_graph,
+    sta,
 )
 from minpath.paths import INF, INSP, NDSP, NO_NEGATIVE_CIRCLES, OP, OPSP, SOP, SOPSP, WISP, WOP, WOPSP
 from minpath.verify import DEF1_PROPERTIES, NO_VIOLATION, VIOLATED
@@ -118,6 +119,21 @@ class TestOracleMin:
         # vacuously circle-free on a simple-path system
         result = oracle_min(diamond, 0, PathSystem.simple(0), parity)
         assert result.minimum[1] == 1.0  # every simple route to a has odd floor-length
+
+    @pytest.mark.parametrize("check", [
+        lambda g, system, func: oracle_min(g, 0, system, func),
+        lambda g, system, func: check_wisp(g, 0, system, func),
+        lambda g, system, func: check_property(g, 0, system, func, NDSP),
+    ], ids=["oracle_min", "check_wisp", "check_property-NDSP"])
+    def test_system_of_another_source_is_refused_before_any_walk(self, check, monkeypatch):
+        g = generate_random(5, 10, 0, 10, "directed", 1)
+
+        def no_walk(*args):
+            pytest.fail("walked the paths of a system with another source")
+
+        monkeypatch.setattr(minpath.verify, "_Walk", no_walk)
+        with pytest.raises(ValueError, match="^path system source 3 does not match 0$"):
+            check(g, PathSystem.simple(3), classic_distance(g))
 
 
 class TestCheckProperty:
@@ -376,6 +392,12 @@ class TestCompareTreeToOracle:
             assert report.verdict == NO_VIOLATION
         else:
             assert report.details == {"vertex": 1, "tree": tree_value, "oracle": oracle_value, "deviation": INF}
+
+    def test_structural_tree_names_its_first_valueless_vertex(self):
+        g = generate_random(6, 14, 0, 10, "undirected", 2)
+        oracle = oracle_min(g, 0, PathSystem.simple(0), classic_distance(g))
+        with pytest.raises(ValueError, match="^the tree has no value at covered vertex 0$"):
+            compare_tree_to_oracle(sta(g, 0), oracle)
 
     def test_mismatched_sources(self, diamond):
         system = PathSystem.simple(0)
