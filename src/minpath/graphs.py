@@ -264,31 +264,22 @@ def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
 def _single_source(
     graph: Graph, source: int, deleted: int | None = None, target: int | None = None
 ) -> tuple[list[float], list[Road | None]]:
-    """`_dijkstra` from ``source`` alone: the distance row and the parent roads."""
-    dist = [math.inf] * graph.n
-    dist[source] = 0.0
-    return dist, _dijkstra(graph, dist, [(0.0, source)], deleted, target)
+    """The heap loop of `dijkstra_classic` from ``source``, without its
+    argument checks: the distance row and each vertex's parent road.
 
-
-def _dijkstra(
-    graph: Graph,
-    dist: list[float],
-    heap: list[tuple[float, int]],
-    deleted: int | None = None,
-    target: int | None = None,
-) -> list[Road | None]:
-    """The heap loop of `dijkstra_classic`, without its argument checks.
-
-    Settles vertices from the labels in ``heap`` (a heap of ``(dist[v], v)``
-    pairs), lowering ``dist`` in place, and returns each vertex's parent
-    road: the last road that lowered its label, None where none did. Run
-    to the end from a single source, the parent roads form the shortest-path
+    The parent road is the last road that lowered a vertex's label, None
+    where none did. Run to the end, the parent roads form the shortest-path
     tree. Skips road ``deleted``, and stops as soon as ``target`` is
     settled: its entry is then final, and the entries of vertices not yet
-    settled are upper bounds only. `DetourTable` runs it from a source, and
-    from a base row whose subtree labels were reset and reseeded.
+    settled are upper bounds only. It is the one list-row loop of the
+    package: `dijkstra_classic`, `DetourTable`'s base trees and its
+    tail-origin searches all run it. A search inside one subtree keeps its
+    labels in a dict instead (`DetourTable._subtree_search`).
     """
+    dist = [math.inf] * graph.n
+    dist[source] = 0.0
     parent: list[Road | None] = [None] * graph.n
+    heap = [(0.0, source)]
     out = graph._out
     while heap:
         d, u = heapq.heappop(heap)
@@ -302,7 +293,7 @@ def _dijkstra(
                 dist[road.head] = label
                 parent[road.head] = road
                 heapq.heappush(heap, (label, road.head))
-    return parent
+    return dist, parent
 
 
 def max_degree(graph: Graph) -> int:

@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import Graph, Road, _dijkstra, _single_source
+from .graphs import Graph, Road, _single_source
 
 __all__ = [
     "INF",
@@ -286,6 +286,11 @@ def _closure(declared: frozenset[str], kind: str) -> frozenset[str]:
     return frozenset(props)
 
 
+# A base tree of `DetourTable`: the base row, the parent roads, the child
+# lists and each vertex's bypass (label, tail).
+_BaseTree = tuple[list[float], list[Road | None], list[list[int]], list[tuple[float, int]]]
+
+
 class DetourTable:
     """Cache of classic shortest distances after deleting one road.
 
@@ -313,22 +318,30 @@ class DetourTable:
       with the tree road too.
     - The deleted road u->v is v's parent road. Only v's subtree, found
       from the child lists, loses its tree paths, so a target outside it is
-      read from the base row. For one inside, a search starts from a copy
-      of the base row with the subtree's entries reset, seeds each subtree
-      vertex with the best ``base[y] + w`` over the other roads y->x
-      entering it from outside, and runs the heap loop from those seeds
-      until ``target`` is settled. No road out of the subtree lowers a
-      vertex outside it, because its label is at least ``base[x] + w``,
-      which is at least the head's base distance. The in-road lists it
-      seeds from are built with the table.
+      read from the base row. For one inside, a search runs in the subtree
+      alone. It seeds each subtree vertex x with the best ``base[y] + w``
+      over the roads y->x other than the deleted one whose tail lies outside
+      the subtree, relaxes only roads whose head lies inside, keeps its
+      labels in a dict and stops once ``target`` is settled. No road out of
+      the subtree lowers a vertex outside it, because its label is at least
+      ``base[x] + w``, which is at least the head's base distance. The
+      deleted road starts outside, so it is never relaxed. The in-road
+      lists it seeds from are built with the table. The base tree also
+      keeps, for every vertex x, its bypass: the best ``base[y] + w`` over
+      x's in-roads other than its parent road, and that road's tail y.
+      Every parent road in the subtree but the deleted one starts inside
+      it, so when the bypass tail lies outside, the bypass is x's seed;
+      only otherwise are x's in-roads scanned. A query thus costs its
+      subtree's vertices and their roads, not n.
 
     The first route and the base row give the same answer where both
     apply: each is the minimal left-fold sum in the graph without the road.
     Every answer is cached under its whole key, so a repeated query is one
     lookup and a first-time query one failed lookup before its route. A
     first-time query by the first or the third route runs at most one
-    search, so a caller that wants every target of one deleted road should
-    run ``dijkstra_classic(remove_road(graph, deleted), origin)`` instead. An
+    search, and a base tree costs one search and one pass over the roads.
+    So a caller that wants every target of one deleted road should run
+    ``dijkstra_classic(remove_road(graph, deleted), origin)`` instead. An
     origin asked only about roads out of itself, as by blocked-cost and
     expected-cost, takes the first route and never builds a base tree.
     Anti-risk, blocked-cost and expected-cost reject a table built for
@@ -346,8 +359,7 @@ class DetourTable:
         self._into: list[list[Road]] = [[] for _ in range(graph.n)]
         for r in graph.roads:
             self._into[r.head].append(r)
-        # origin -> (base row, parent roads, child lists)
-        self._trees: dict[int, tuple[list[float], list[Road | None], list[list[int]]]] = {}
+        self._trees: dict[int, _BaseTree] = {}
         self._entries: dict[tuple[int, int, int], float] = {}
 
     def distance(self, deleted: int, origin: int, target: int) -> float:
@@ -368,38 +380,73 @@ class DetourTable:
         if tree is None:
             if not 0 <= origin < n:
                 raise ValueError(f"source {origin} out of range")
-            base, parent = _single_source(self.graph, origin)
-            children = [[] for _ in base]
-            for v, r in enumerate(parent):
-                if r is not None:
-                    children[r.tail].append(v)
-            tree = self._trees[origin] = (base, parent, children)
-        base, parent, children = tree
+            tree = self._trees[origin] = self._base_tree(origin)
+        base, parent, children, bypass = tree
         if parent[road.head] is not road:
             return base[target]
-        return self._subtree_search(base, children, road, target)
-
-    def _subtree_search(self, base: list[float], children: list[list[int]], road: Road, target: int) -> float:
-        """Distance to ``target`` from ``base``'s origin without tree road ``road``: see the class docstring."""
         subtree = [road.head]
         for v in subtree:
             subtree.extend(children[v])
-        if target not in subtree:
+        inside = set(subtree)
+        if target not in inside:
             return base[target]  # its tree path survives the deletion
-        row = list(base)
-        for v in subtree:
-            row[v] = INF
+        return self._subtree_search(base, bypass, subtree, inside, road, target)
+
+    def _base_tree(self, origin: int) -> _BaseTree:
+        """The base search from ``origin`` and what subtree searches read of
+        it: the distance row, the parent roads, the child lists and the bypass
+        labels (see the class docstring)."""
+        base, parent = _single_source(self.graph, origin)
+        children: list[list[int]] = [[] for _ in base]
+        bypass = [(INF, -1)] * len(base)
+        for r in self.graph.roads:
+            if r is parent[r.head]:
+                children[r.tail].append(r.head)
+            else:
+                label = base[r.tail] + r.weight
+                if label < bypass[r.head][0]:
+                    bypass[r.head] = (label, r.tail)
+        return base, parent, children, bypass
+
+    def _subtree_search(
+        self,
+        base: list[float],
+        bypass: list[tuple[float, int]],
+        subtree: list[int],
+        inside: set[int],
+        road: Road,
+        target: int,
+    ) -> float:
+        """Distance to ``target`` in tree road ``road``'s subtree from ``base``'s
+        origin without that road: see the class docstring."""
+        into = self._into
+        dist: dict[int, float] = {}
         heap = []
         for v in subtree:
-            # the reset entries read as inf, so roads from inside the subtree seed nothing
-            label = min([row[r.tail] + r.weight for r in self._into[v] if r is not road], default=INF)
+            label, tail = bypass[v]
+            if tail in inside:  # v's best other in-road starts inside: scan for the best from outside
+                label = min(
+                    [base[r.tail] + r.weight for r in into[v] if r.tail not in inside and r is not road], default=INF
+                )
             if label < INF:
+                dist[v] = label
                 heap.append((label, v))
-        for label, v in heap:
-            row[v] = label
         heapq.heapify(heap)
-        _dijkstra(self.graph, row, heap, target=target)
-        return row[target]
+        out = self.graph._out
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue  # stale entry: u was settled at a smaller distance
+            if u == target:
+                return d
+            for r in out[u]:
+                x = r.head
+                if x in inside:  # the deleted road leaves from outside, so it is never relaxed here
+                    label = d + r.weight
+                    if label < dist.get(x, INF):
+                        dist[x] = label
+                        heapq.heappush(heap, (label, x))
+        return INF
 
 
 def _require_nonnegative(graph: Graph, name: str) -> None:

@@ -97,6 +97,20 @@ class TestSolve:
         assert main(["solve", "--graph", str(graph_file), "--source", "0", "--algorithm", algorithm]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_deep_trees_antirisk_pinned_output(self, tmp_path, capsys):
+        # digest of the 301-line stdout, recorded before subtree searches kept
+        # their labels in a dict; deep trees give the detour table subtrees of
+        # many vertices
+        assert main(["gen", "--n", "300", "--m", "900", "--seed", "3", "--mode", "undirected"]) == 0
+        graph_file = tmp_path / "u3.g"
+        graph_file.write_text(capsys.readouterr().out)
+        argv = ["solve", "--graph", str(graph_file), "--source", "0", "--algorithm", "eda", "--function", "antirisk"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 301
+        digest = "8fd863b90c84f0eaa23dbe183603d49da0744273d7b61ce635c0372bb2c781ee"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_sta_prints_structural_tree(self, diamond_file, capsys):
         code = main(["solve", "--graph", diamond_file, "--source", "0", "--algorithm", "sta"])
         out = capsys.readouterr().out

@@ -200,8 +200,9 @@ class TestPathValue:
 class TestDetourTable:
     @pytest.fixture
     def searches(self, monkeypatch):
-        """The arguments of every search the table runs, one entry each;
-        `dijkstra_classic`, called from the test, is not counted."""
+        """The arguments of every search the table runs, one entry each: a
+        whole-row search and a search inside one subtree both count, and
+        `dijkstra_classic`, called from the test, does not."""
         searches = []
 
         def counting(run):
@@ -210,8 +211,8 @@ class TestDetourTable:
                 return run(*args, **kwargs)
             return counted
 
-        for name in ("_dijkstra", "_single_source"):
-            monkeypatch.setattr(minpath.paths, name, counting(getattr(minpath.paths, name)))
+        monkeypatch.setattr(minpath.paths, "_single_source", counting(minpath.paths._single_source))
+        monkeypatch.setattr(DetourTable, "_subtree_search", counting(DetourTable._subtree_search))
         return searches
 
     def test_deletion_disconnects(self):
@@ -392,6 +393,31 @@ class TestDetourTable:
             if (key, origin) not in rows:
                 rows[key, origin] = dijkstra_classic(remove_road(g, key), origin)
             assert table.distance(key, origin, target) == rows[key, origin][target]
+
+    @pytest.mark.parametrize("shape", ["ring", "random"])
+    def test_large_subtrees_match_dijkstra_without_the_road(self, shape):
+        # a ring's tree roads carry subtrees of up to n-1 vertices, which the
+        # small graphs above never reach
+        n = 300
+        if shape == "ring":
+            rng = random.Random(1)
+            ends = [(v, (v + 1) % n, 1.0) for v in range(n)]
+            ends += [(*rng.sample(range(n), 2), rng.uniform(1.0, 10.0)) for _ in range(n // 2)]
+            g = Graph([Vertex(v) for v in range(n)], [Road(k, *e) for k, e in enumerate(ends)])
+        else:
+            g = generate_random(n, 1200, 0.0, 10.0, "directed", 2)
+        base = dijkstra_classic(g, 0)
+        table = DetourTable(g)
+        largest = 0
+        for road in g.roads:
+            expected = dijkstra_classic(remove_road(g, road.key), 0)
+            # every vertex whose distance grows lies in the road's subtree; take the farthest
+            grown = [v for v in range(n) if expected[v] != base[v]]
+            deep = max(grown, key=lambda v: (base[v], v), default=road.head)
+            largest = max(largest, len(grown))
+            for target in (road.head, deep):
+                assert table.distance(road.key, 0, target) == expected[target]
+        assert largest > 100
 
     def test_rejects_negative_road(self):
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 1.0\narc 1 2 -1.0\narc 0 2 3.0\n")
