@@ -24,14 +24,14 @@ from .paths import (
     Path,
     PathFunction,
     PathSystem,
+    _require_properties,
+    _require_source,
     format_path,
-    implied_properties,
 )
 
 __all__ = [
     "RunStats",
     "ShortestPathTree",
-    "PropertyRefusalError",
     "NegativeCircleError",
     "UnreachableVertexError",
     "sta",
@@ -39,10 +39,6 @@ __all__ = [
     "embfa",
     "format_tree",
 ]
-
-
-class PropertyRefusalError(ValueError):
-    """The path function does not declare the properties a solver needs."""
 
 
 class NegativeCircleError(RuntimeError):
@@ -108,23 +104,6 @@ class ShortestPathTree:
         return list(self.paths)
 
 
-def _check_source(graph: Graph, source: int, system: PathSystem) -> None:
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range")
-    if system.source != source:
-        raise ValueError(f"path system source {system.source} does not match solve source {source}")
-
-
-def _require_properties(func: PathFunction, system: PathSystem, needed: set[str], solver: str) -> None:
-    missing = needed - implied_properties(func.declared_properties, system)
-    if missing:
-        raise PropertyRefusalError(
-            f"path function {func.name!r} does not declare or imply "
-            f"{', '.join(sorted(missing))}, required by {solver} "
-            "(declare the flags in declared_properties if the function has them)"
-        )
-
-
 def sta(graph: Graph, source: int) -> ShortestPathTree:
     """Spanning arborescence rooted at ``source`` covering every vertex.
 
@@ -168,7 +147,7 @@ def eda(
     flags are trusted, not re-proven. Vertices unreachable within the system
     are absent from the tree.
     """
-    _check_source(graph, source, system)
+    _require_source(graph, source, system)
     _require_properties(func, system, {SOPSP, WISP, NDSP}, "eda")
     extend, checked, out = func.extend, func.checked, graph._out
     extend_calls = relaxations = 0
@@ -229,19 +208,23 @@ def embfa(
     its parent's plus one road, and its stored value is that path's fold.
     When v relaxes, its old subtree is disassembled (Tarjan's subtree
     disassembly): v's descendants lose their paths and values, are skipped
-    if a pass reaches them, and are re-adopted by later scans. A relaxation
-    whose head already lies on the tail's tree path (the source included)
-    closes a circle that lowers the head's value, so it raises
-    `NegativeCircleError`; only an all-paths system admits one. Tree paths
-    are therefore simple, and pass k only builds paths of at least k roads,
-    so some pass among the first n relaxes nothing and ends the loop;
-    ``stats.rounds`` is the number of passes executed. The returned tree
-    lists its vertices breadth-first from the source.
+    if a pass reaches them, and are re-adopted by later scans. Each vertex's
+    children are an insertion-ordered dict, so detaching v from its parent
+    is O(1) whatever the parent's child count, and a disassembly costs the
+    size of v's old subtree. A relaxation whose head already lies on the
+    tail's tree path (the source included) closes a circle that lowers the
+    head's value, so it raises `NegativeCircleError`; only an all-paths
+    system admits one. Tree paths are therefore simple, and pass k only
+    builds paths of at least k roads, so some pass among the first n
+    relaxes nothing and ends the loop; ``stats.rounds`` is the number of
+    passes executed. The returned tree lists its vertices breadth-first
+    from the source.
 
-    A final certificate pass reads only that tree. It extends every tree
-    path by each road out of its vertex once, whether or not the system
-    admits the extension, and counts each candidate below its head's tree
-    value in ``stats.vetoed``; these calls count in ``extend_calls``.
+    A final certificate pass reads only that tree, on the breadth-first walk
+    that lists it. It extends every tree path by each road out of its vertex
+    once, whether or not the system admits the extension, and counts each
+    candidate below its head's tree value in ``stats.vetoed``; these calls
+    count in ``extend_calls``.
     ``tree.exact`` is True only when no road is counted. The tree values
     are then a fixed point of relaxation over all walks, so by induction
     on walk length order preservation bounds each value by every walk to
@@ -257,11 +240,11 @@ def embfa(
     on simple systems: ``exact`` is sound without it, and an instance
     without it is reported through ``exact`` rather than refused.
     """
-    _check_source(graph, source, system)
+    _require_source(graph, source, system)
     _require_properties(func, system, {OP, NO_NEGATIVE_CIRCLES}, "embfa")
     paths: dict[int, Path] = {source: Path(graph, source)}  # the tree path of each covered vertex
     value: dict[int, float] = {source: func.base}
-    children: dict[int, list[int]] = {}  # tree children of each covered vertex
+    children: dict[int, dict[int, None]] = {}  # tree children of each covered vertex, in adoption order
 
     extend, checked, out, simple = func.extend, func.checked, graph._out, system.kind == SIMPLE
     extend_calls = relaxations = rounds = vetoed = 0
@@ -302,23 +285,25 @@ def embfa(
                             )
                         # Subtree disassembly: v's descendants lose their paths
                         # until later scans re-adopt them.
-                        children[paths[v]._prefix.terminal].remove(v)
-                        detached = children.pop(v, [])
+                        del children[paths[v]._prefix.terminal][v]
+                        detached = list(children.pop(v, ()))
                         for w in detached:
                             del paths[w], value[w]
                             detached.extend(children.pop(w, ()))
                     paths[v] = path_u._grown(road)
                     value[v] = candidate
-                    children.setdefault(u, []).append(v)
+                    children.setdefault(u, {})[v] = None
                     relaxations += 1
                     relaxed.add(v)
         if not relaxed:
             break
         active = sorted(relaxed)
 
-    # Certificate: one extension per road out of a tree vertex, member or
-    # not. A candidate below its head's tree value is a vetoed improvement.
-    for u in sorted(paths):
+    # Certificate, on the breadth-first walk that lists the tree: one
+    # extension per road out of a tree vertex, member or not. A candidate
+    # below its head's tree value is a vetoed improvement.
+    order = [source]
+    for u in order:
         path_u, value_u = paths[u], value[u]
         for road in out[u]:
             candidate = extend(value_u, path_u, road)
@@ -327,8 +312,6 @@ def embfa(
             extend_calls += 1
             if candidate < value.get(road.head, INF):
                 vetoed += 1
-    order = [source]
-    for u in order:
         order.extend(children.get(u, ()))
     stats = RunStats(extend_calls, relaxations, rounds, vetoed)
     return ShortestPathTree(source, {v: paths[v] for v in order}, value, vetoed == 0), stats

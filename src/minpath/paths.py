@@ -23,6 +23,7 @@ __all__ = [
     "Path",
     "PathSystem",
     "PathFunction",
+    "PropertyRefusalError",
     "DetourTable",
     "ZERO_COST",
     "path_value",
@@ -254,6 +255,30 @@ def implied_properties(declared: frozenset[str] | set[str], system: PathSystem) 
     set and system kind.
     """
     return _closure(frozenset(declared), system.kind)
+
+
+class PropertyRefusalError(ValueError):
+    """The path function does not declare the properties a consumer needs."""
+
+
+def _require_source(graph: Graph, source: int, system: PathSystem) -> None:
+    """The input rule for a source: in range, and the system's source."""
+    if not 0 <= source < graph.n:
+        raise ValueError(f"source {source} out of range")
+    if system.source != source:
+        raise ValueError(f"path system source {system.source} does not match {source}")
+
+
+def _require_properties(func: PathFunction, system: PathSystem, needed: set[str], consumer: str) -> None:
+    """The input rule for flags: ``func`` declares or implies every flag in
+    ``needed`` on ``system``; the flags are trusted, not re-proven."""
+    missing = needed - implied_properties(func.declared_properties, system)
+    if missing:
+        raise PropertyRefusalError(
+            f"path function {func.name!r} does not declare or imply "
+            f"{', '.join(sorted(missing))}, required by {consumer} "
+            "(declare the flags in declared_properties if the function has them)"
+        )
 
 
 @functools.lru_cache(maxsize=256)  # bounded: declared sets are arbitrary strings

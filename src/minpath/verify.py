@@ -46,8 +46,9 @@ from .paths import (
     Path,
     PathFunction,
     PathSystem,
+    _require_properties,
+    _require_source,
     format_path,
-    implied_properties,
 )
 
 __all__ = [
@@ -113,12 +114,13 @@ def enumerate_paths(graph: Graph, source: int, system: PathSystem, max_roads: in
 
     Children are visited in road-key order and the trivial path comes
     first, so the stream order is deterministic and complete for the bound.
-    Each member is its parent member grown by the road it holds.
+    Each member is its parent member grown by the road it holds. A bad
+    bound or source (see `_require_source`) is rejected at the call, before
+    the first member.
     """
     if max_roads < 0:
         raise ValueError("max_roads must be nonnegative")
-    if system.source != source:
-        raise ValueError(f"path system source {system.source} does not match {source}")
+    _require_source(graph, source, system)
 
     def walk() -> Iterator[Path]:
         root = Path(graph, source)
@@ -219,9 +221,10 @@ _last: tuple = (None, None, None, None, None)
 def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -> _Census:
     """The census of one function on one graph and source, behind the oracle's gate.
 
-    ``system`` only feeds the checks, which run on every call before any
-    walk: its source must be ``source``, as `enumerate_paths` requires, and
-    its kind feeds the gate. The walk is always the simple system's, to
+    ``system`` only feeds the two input rules of `paths`, which run on every
+    call before any walk: `_require_source`, and `_require_properties`
+    needing no negative circles, which refuses with `PropertyRefusalError`
+    naming the flag. The walk is always the simple system's, to
     depth n-1. The walk depends only on the identity of ``graph`` and on
     ``source``, so `oracle_min`, `check_property` and `check_wisp` share it
     across every function checked there; each function's values are one
@@ -231,12 +234,8 @@ def _oracle(graph: Graph, source: int, system: PathSystem, func: PathFunction) -
     census) before walking (or folding).
     """
     global _last
-    if system.source != source:
-        raise ValueError(f"path system source {system.source} does not match {source}")
-    if NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system):
-        raise ValueError(
-            f"oracle requires a function without negative circles; {func.name!r} does not declare one"
-        )
+    _require_source(graph, source, system)
+    _require_properties(func, system, {NO_NEGATIVE_CIRCLES}, "the oracle")
     last = _last  # rebound with the slot, so that it pins no more than the slot does
     if last[0] is graph and last[1] == source:
         if last[3] is func:

@@ -178,6 +178,15 @@ class TestEda:
         with pytest.raises(ValueError, match="does not match"):
             eda(diamond, 0, PathSystem.simple(1), classic_distance(diamond))
 
+    @pytest.mark.parametrize("solver", [eda, embfa])
+    def test_source_rule_matches_verify_wording(self, diamond, solver):
+        # the solvers and verify's walk share one source rule and its wording
+        func = classic_distance(diamond)
+        with pytest.raises(ValueError, match="^path system source 1 does not match 0$"):
+            solver(diamond, 0, PathSystem.simple(1), func)
+        with pytest.raises(ValueError, match="^source 9 out of range$"):
+            solver(diamond, 9, PathSystem.simple(9), func)
+
     def test_infinite_values_are_covered(self):
         g = single_road()
         system = PathSystem.simple(0)
@@ -234,6 +243,23 @@ class TestEmbfa:
         embfa_s, embfa_tree = best_of_three(embfa)
         assert embfa_tree.value == eda_tree.value
         assert embfa_s < 5 * eda_s
+
+    def test_star_with_a_hub_matches_eda(self):
+        # the hub h = n-1 takes every other vertex from the source in
+        # descending id: removing each from a list of the source's children
+        # scanned most of it, quadratic in n
+        n = 300
+        h = n - 1
+        roads = [Road(v - 1, 0, v, 10.0) for v in range(1, h)] + [Road(h - 1, 0, h, 1.0)]
+        roads += [Road(h + i, h, v, 1.0) for i, v in enumerate(range(h - 1, 0, -1))]
+        g = Graph([Vertex(v) for v in range(n)], roads)
+        func, system = classic_distance(g), PathSystem.simple(0)
+        tree, stats = embfa(g, 0, system, func)
+        eda_tree, _ = eda(g, 0, system, func)
+        assert tree.value == eda_tree.value
+        assert all(tree.parent[v][0] == h for v in range(1, h))
+        assert tree.order == [0, h, *range(h - 1, 0, -1)]
+        assert (stats.relaxations, stats.rounds, stats.vetoed, tree.exact) == (2 * n - 3, 3, 0, True)
 
     def test_conservative_weights(self):
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 2.0\narc 0 2 5.0\narc 1 2 -1.0\n")

@@ -23,6 +23,7 @@ from minpath import (
     Path,
     PathFunction,
     PathSystem,
+    PropertyRefusalError,
     Road,
     ShortestPathTree,
     Vertex,
@@ -94,6 +95,10 @@ class TestEnumeratePaths:
         with pytest.raises(ValueError, match="does not match"):
             list(enumerate_paths(diamond, 0, PathSystem.simple(1), 3))
 
+    def test_source_out_of_range_is_rejected_at_the_call(self, diamond):
+        with pytest.raises(ValueError, match="^source 99 out of range$"):
+            enumerate_paths(diamond, 99, PathSystem.simple(99), 3)
+
 
 class TestOracleMin:
     def test_diamond_classic(self, diamond):
@@ -114,11 +119,26 @@ class TestOracleMin:
 
     def test_gate_requires_circle_freedom(self, diamond):
         parity = parity_length(diamond)
-        with pytest.raises(ValueError, match="negative circles"):
+        with pytest.raises(PropertyRefusalError, match="no-negative-circles, required by the oracle"):
             oracle_min(diamond, 0, PathSystem.all_paths(0), parity)
         # vacuously circle-free on a simple-path system
         result = oracle_min(diamond, 0, PathSystem.simple(0), parity)
         assert result.minimum[1] == 1.0  # every simple route to a has odd floor-length
+
+    @pytest.mark.parametrize("check", [
+        lambda g, system, func: oracle_min(g, 0, system, func),
+        lambda g, system, func: check_wisp(g, 0, system, func),
+        lambda g, system, func: check_property(g, 0, system, func, SOPSP),
+    ], ids=["oracle_min", "check_wisp", "check_property-SOPSP"])
+    def test_refusal_names_the_missing_flag_before_any_walk(self, check, monkeypatch, diamond):
+        # parity declares nothing, so on all paths it lacks the oracle's flag
+        def no_walk(*args):
+            pytest.fail("walked the paths for a function the oracle refuses")
+
+        monkeypatch.setattr(minpath.verify, "_Walk", no_walk)
+        with pytest.raises(PropertyRefusalError, match="^path function 'parity' does not declare or imply "
+                           "no-negative-circles, required by the oracle "):
+            check(diamond, PathSystem.all_paths(0), parity_length(diamond))
 
     @pytest.mark.parametrize("check", [
         lambda g, system, func: oracle_min(g, 0, system, func),
@@ -693,7 +713,7 @@ class TestCensus:
     def test_gate_runs_on_every_call(self, diamond):
         parity = parity_length(diamond)
         oracle_min(diamond, 0, PathSystem.simple(0), parity)
-        with pytest.raises(ValueError, match="negative circles"):
+        with pytest.raises(PropertyRefusalError, match="no-negative-circles, required by the oracle"):
             oracle_min(diamond, 0, PathSystem.all_paths(0), parity)
 
 
@@ -813,7 +833,7 @@ def test_off_census_checks_match_a_naive_scan(n, data, mode, high, kind, every, 
     gated = NO_NEGATIVE_CIRCLES not in implied_properties(func.declared_properties, system)
     for prop in DEF1_PROPERTIES:
         if gated and prop in (NDSP, INSP, SOPSP, OPSP, WOPSP):
-            with pytest.raises(ValueError, match="negative circles"):
+            with pytest.raises(PropertyRefusalError, match="no-negative-circles, required by the oracle"):
                 check_property(g, 0, system, func, prop, max_roads=bound)
             continue
         report = check_property(g, 0, system, func, prop, max_roads=bound, tol=tol)
