@@ -87,7 +87,7 @@ class Graph:
         self.vertices = vertices
         self.roads = roads
         self._by_key = by_key
-        self._nonnegative = nonnegative  # read by dijkstra_classic and the detour-based path functions
+        self._nonnegative = nonnegative  # read by _require_nonnegative and classic_distance
         self._out = tuple(tuple(sorted(lst, key=lambda r: r.key)) for lst in out)
 
     @property
@@ -239,9 +239,8 @@ def remove_road(graph: Graph, key: int) -> Graph:
 
     Remaining road keys are unchanged; the input graph is not mutated.
     """
-    if not graph.has_road(key):
-        raise ValueError(f"unknown road key {key}")
-    return Graph(graph.vertices, tuple(r for r in graph.roads if r.key != key))
+    removed = graph.road(key)
+    return Graph(graph.vertices, tuple(r for r in graph.roads if r is not removed))
 
 
 def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
@@ -254,11 +253,21 @@ def dijkstra_classic(graph: Graph, source: int) -> tuple[float, ...]:
     unreachable vertices. Raises on any negative weight. For distances
     without one road, search `remove_road(graph, key)`.
     """
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range")
-    if not graph._nonnegative:
-        raise ValueError("negative weight present")
+    _require_vertex(graph, source, "source")
+    _require_nonnegative(graph, "dijkstra_classic")
     return tuple(_single_source(graph, source)[0])
+
+
+def _require_vertex(graph: Graph, vertex: int, role: str) -> None:
+    """The input rule for a vertex argument: an id in ``0..n-1``."""
+    if not 0 <= vertex < graph.n:
+        raise ValueError(f"{role} {vertex} out of range")
+
+
+def _require_nonnegative(graph: Graph, name: str) -> None:
+    """The input rule of ``name``, which needs every weight nonnegative."""
+    if not graph._nonnegative:
+        raise ValueError(f"{name} requires nonnegative weights")
 
 
 def _single_source(

@@ -16,7 +16,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graphs import Graph, Road, _single_source
+from .graphs import Graph, Road, _require_nonnegative, _require_vertex, _single_source
 
 __all__ = [
     "INF",
@@ -80,8 +80,7 @@ class Path:
     __slots__ = ("graph", "source", "terminal", "_prefix", "_road", "_length")
 
     def __init__(self, graph: Graph, source: int, roads: tuple[int, ...] | list[int] = ()):
-        if not 0 <= source < graph.n:
-            raise ValueError(f"source {source} out of range")
+        _require_vertex(graph, source, "source")
         self.graph = graph
         self.source = source
         self.terminal = source
@@ -263,8 +262,7 @@ class PropertyRefusalError(ValueError):
 
 def _require_source(graph: Graph, source: int, system: PathSystem) -> None:
     """The input rule for a source: in range, and the system's source."""
-    if not 0 <= source < graph.n:
-        raise ValueError(f"source {source} out of range")
+    _require_vertex(graph, source, "source")
     if system.source != source:
         raise ValueError(f"path system source {system.source} does not match {source}")
 
@@ -395,16 +393,13 @@ class DetourTable:
         return value
 
     def _fill(self, deleted: int, origin: int, target: int) -> float:
-        n = self.graph.n
-        if not 0 <= target < n:
-            raise ValueError(f"target {target} out of range")
+        _require_vertex(self.graph, target, "target")
         road = self.graph.road(deleted)
         if origin == road.tail:
             return _single_source(self.graph, origin, deleted, target)[0][target]
         tree = self._trees.get(origin)
         if tree is None:
-            if not 0 <= origin < n:
-                raise ValueError(f"source {origin} out of range")
+            _require_vertex(self.graph, origin, "source")
             tree = self._trees[origin] = self._base_tree(origin)
         base, parent, children, bypass = tree
         if parent[road.head] is not road:
@@ -474,12 +469,10 @@ class DetourTable:
         return INF
 
 
-def _require_nonnegative(graph: Graph, name: str) -> None:
-    if not graph._nonnegative:
-        raise ValueError(f"{name} requires nonnegative weights")
-
-
-def _own_table(graph: Graph, table: DetourTable | None) -> DetourTable:
+def _own_table(graph: Graph, table: DetourTable | None, name: str) -> DetourTable:
+    """The input rule of the detour function ``name``: nonnegative weights,
+    and a table of this graph (a new one when ``table`` is None)."""
+    _require_nonnegative(graph, name)
     if table is None:
         return DetourTable(graph)
     if table.graph != graph:
@@ -511,6 +504,15 @@ def classic_distance(graph: Graph) -> PathFunction:
     return PathFunction("classic", 0.0, extend, props)
 
 
+# The flags of anti-risk and blocked-cost. Given the road and the source, each
+# extension is a nondecreasing function of the parent value alone, never below
+# it: ``max(d, w + x)`` and ``p*d + w + x`` with w, d >= 0 (float ``+`` and
+# ``max`` are monotone). So both are order preserving on walks, and no circle
+# lowers a value. Zero-weight roads make zero-weight circles, so
+# NO_NONPOSITIVE_CIRCLES is not declared.
+_DETOUR_PROPERTIES = frozenset({NDSP, OP, WISP, NO_NEGATIVE_CIRCLES})
+
+
 def anti_risk(graph: Graph, table: DetourTable | None = None) -> PathFunction:
     """Worst-case travel cost when at most one road may be blocked.
 
@@ -521,15 +523,13 @@ def anti_risk(graph: Graph, table: DetourTable | None = None) -> PathFunction:
     length, the last-road fallback, and every suffix-length-plus-fallback
     combination.
     """
-    _require_nonnegative(graph, "anti-risk")
-    table = _own_table(graph, table)
+    table = _own_table(graph, table, "anti-risk")
 
     def extend(value: float, parent: Path, road: Road) -> float:
         blocked = table.distance(road.key, parent.source, road.head)
         return max(blocked, road.weight + value)
 
-    props = frozenset({NDSP, SOP, WISP})
-    return PathFunction("antirisk", 0.0, extend, props)
+    return PathFunction("antirisk", 0.0, extend, _DETOUR_PROPERTIES)
 
 
 def blocked_cost(graph: Graph, p: float, table: DetourTable | None = None) -> PathFunction:
@@ -540,15 +540,13 @@ def blocked_cost(graph: Graph, p: float, table: DetourTable | None = None) -> Pa
     infinite. Intended for simple-path systems.
     """
     _require_probability(p)
-    _require_nonnegative(graph, "blocked-cost")
-    table = _own_table(graph, table)
+    table = _own_table(graph, table, "blocked-cost")
 
     def extend(value: float, parent: Path, road: Road) -> float:
         detour = table.distance(road.key, road.tail, road.head)
         return p * detour + road.weight + value
 
-    props = frozenset({NDSP, SOP, WISP})
-    return PathFunction("blocked-cost", 0.0, extend, props)
+    return PathFunction("blocked-cost", 0.0, extend, _DETOUR_PROPERTIES)
 
 
 def expected_cost(graph: Graph, p: float, table: DetourTable | None = None) -> PathFunction:
@@ -559,8 +557,7 @@ def expected_cost(graph: Graph, p: float, table: DetourTable | None = None) -> P
     path. Intended for simple-path systems.
     """
     _require_probability(p)
-    _require_nonnegative(graph, "expected-cost")
-    table = _own_table(graph, table)
+    table = _own_table(graph, table, "expected-cost")
 
     def extend(value: float, parent: Path, road: Road) -> float:
         detour = table.distance(road.key, road.tail, road.head)

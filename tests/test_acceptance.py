@@ -204,8 +204,8 @@ def test_criterion_5_property_suites():
         table = DetourTable(g)
         suites = [
             (classic_distance(g), ("NDSP", "SOP", "OP")),
-            (anti_risk(g, table), ("NDSP", "SOP")),
-            (blocked_cost(g, 0.5, table), ("NDSP", "SOP")),
+            (anti_risk(g, table), ("NDSP", "SOP", "OP")),
+            (blocked_cost(g, 0.5, table), ("NDSP", "SOP", "OP")),
             (expected_cost(g, 0.5, table), ("OP",)),
         ]
         for func, props in suites:

@@ -185,6 +185,17 @@ class TestSolve:
         assert code == 0
         assert "3 value=2.0" in out
 
+    @pytest.mark.parametrize("function", [["antirisk"], ["blocked-cost", "--p", "0.3"]], ids=["antirisk", "blocked-cost"])
+    def test_embfa_and_the_all_paths_oracle_answer_the_detour_functions(self, diamond_file, capsys, function):
+        # both declare OP and no negative circles, so neither embfa nor the oracle refuses them
+        runs = [["solve", "--algorithm", "eda"], ["solve", "--algorithm", "embfa"], ["oracle", "--system", "all"]]
+        values = []
+        for command, *options in runs:
+            code = main([command, "--graph", diamond_file, "--source", "0", *options, "--function", *function])
+            assert code == 0
+            values.append([line.split()[:2] for line in capsys.readouterr().out.splitlines() if line[0] != "#"])
+        assert len(values[0]) == 4 and values[0] == values[1] == values[2]
+
     def test_negative_circle_exit_code(self, negative_cycle_file, capsys):
         code = main(["solve", "--graph", negative_cycle_file, "--source", "0",
                      "--algorithm", "embfa", "--function", "classic", "--system", "all"])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from minpath import (
     INF,
+    DetourTable,
     Graph,
     NegativeCircleError,
     Path,
@@ -291,7 +292,7 @@ class TestEmbfa:
 
     def test_refuses_non_op_function(self, diamond):
         with pytest.raises(PropertyRefusalError):
-            embfa(diamond, 0, PathSystem.simple(0), anti_risk(diamond))
+            embfa(diamond, 0, PathSystem.simple(0), parity_length(diamond))
 
     def test_negative_circle_detected_on_all_paths(self):
         g = Graph(
@@ -467,6 +468,20 @@ def test_embfa_certificate_reads_the_returned_tree(mode):
                 )
                 assert stats.vetoed == count, (seed, system.kind, func.name)
                 assert tree.exact == (count == 0)
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_embfa_answers_anti_risk_and_blocked_cost_exactly(mode):
+    # both declare OP and no negative circles, so embfa takes them and certifies its tree
+    system = PathSystem.simple(0)
+    for seed, g in random_instances(100, (3, 9), seed_base=4100, mode=mode):
+        table = DetourTable(g)
+        for func in (anti_risk(g, table), blocked_cost(g, 0.3, table)):
+            tree, stats = embfa(g, 0, system, func)
+            assert tree.exact, (seed, func.name)
+            assert tree.value == eda(g, 0, system, func)[0].value, (seed, func.name)
+            assert tree.value == oracle_min(g, 0, system, func).minimum, (seed, func.name)
+            assert_tree_invariants(tree, system, func, stats, 2 * g.n * g.m)
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])

@@ -88,6 +88,12 @@ class Detours:
         return self.cut[key]
 
 
+@pytest.fixture(scope="module")
+def detour(graph):
+    """One `Detours` per graph, so both solvers share its searches."""
+    return Detours(graph)
+
+
 def walk_relaxation(graph: Graph, source: int, step) -> list[float]:
     """Fixed point of FIFO relaxation over walks, per vertex; a first reach
     adopts even ``inf``, and a vertex never reached reads ``inf``."""
@@ -111,24 +117,26 @@ def values(tree, n: int) -> list[float]:
     return [tree.value.get(v, INF) for v in range(n)]
 
 
-def test_blocked_cost_is_classic_on_derived_weights(graph):
+@pytest.mark.parametrize("solver", [eda, embfa])
+def test_blocked_cost_is_classic_on_derived_weights(graph, detour, solver):
     p = 0.3
-    detour = Detours(graph)
     derived = []
     for road in graph.roads:
         d = detour(road, road.tail)
         if d < INF:
             derived.append(Road(road.key, road.tail, road.head, p * d + road.weight))
     reference = dijkstra_classic(Graph(graph.vertices, derived), 0)
-    tree, _ = eda(graph, 0, PathSystem.simple(0), blocked_cost(graph, p))
+    tree, _ = solver(graph, 0, PathSystem.simple(0), blocked_cost(graph, p))
     assert values(tree, graph.n) == list(reference)
+    assert tree.exact
 
 
-def test_anti_risk_is_a_relaxation_over_walks(graph):
-    detour = Detours(graph)
+@pytest.mark.parametrize("solver", [eda, embfa])
+def test_anti_risk_is_a_relaxation_over_walks(graph, detour, solver):
     reference = walk_relaxation(graph, 0, lambda x, road: max(detour(road, 0), road.weight + x))
-    tree, _ = eda(graph, 0, PathSystem.simple(0), anti_risk(graph))
+    tree, _ = solver(graph, 0, PathSystem.simple(0), anti_risk(graph))
     assert values(tree, graph.n) == reference
+    assert tree.exact
 
 
 @pytest.mark.parametrize("solver", [eda, embfa])
