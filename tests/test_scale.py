@@ -117,8 +117,7 @@ def values(tree, n: int) -> list[float]:
     return [tree.value.get(v, INF) for v in range(n)]
 
 
-@pytest.mark.parametrize("solver", [eda, embfa])
-def test_blocked_cost_is_classic_on_derived_weights(graph, detour, solver):
+def check_blocked_cost(graph, detour, solver):
     p = 0.3
     derived = []
     for road in graph.roads:
@@ -131,12 +130,27 @@ def test_blocked_cost_is_classic_on_derived_weights(graph, detour, solver):
     assert tree.exact
 
 
-@pytest.mark.parametrize("solver", [eda, embfa])
-def test_anti_risk_is_a_relaxation_over_walks(graph, detour, solver):
+def test_blocked_cost_is_classic_on_derived_weights(graph, detour):
+    check_blocked_cost(graph, detour, eda)
+
+
+def test_blocked_cost_is_classic_on_derived_weights_embfa(graph, detour):
+    check_blocked_cost(graph, detour, embfa)
+
+
+def check_anti_risk(graph, detour, solver):
     reference = walk_relaxation(graph, 0, lambda x, road: max(detour(road, 0), road.weight + x))
     tree, _ = solver(graph, 0, PathSystem.simple(0), anti_risk(graph))
     assert values(tree, graph.n) == reference
     assert tree.exact
+
+
+def test_anti_risk_is_a_relaxation_over_walks(graph, detour):
+    check_anti_risk(graph, detour, eda)
+
+
+def test_anti_risk_is_a_relaxation_over_walks_embfa(graph, detour):
+    check_anti_risk(graph, detour, embfa)
 
 
 @pytest.mark.parametrize("solver", [eda, embfa])
