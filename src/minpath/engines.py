@@ -198,11 +198,16 @@ def embfa(
     path. An uncovered vertex adopts even an infinite candidate, so the
     covered set still matches the system's reachable set. Uncovered
     vertices (the initial "no path yet" state) are never scanned. Scans
-    skip roads the system vetoes. A scan builds the set of its tail's tree
-    path's vertices only when it meets a covered head: an uncovered head
-    lies on no tree path, so a scan that meets none costs O(out-degree)
-    whatever the depth, and a deep tree of fresh vertices (a ring) stays
-    linear. Results of ``extend`` are checked and counted as in `eda`.
+    skip roads the system vetoes. A covered head v can lie on the tail's
+    tree path only at depth ``len(paths[v])``, since every prefix of a tree
+    path is its terminal's stored path, and an uncovered head lies on no
+    tree path. So a scan collects its tail's tree path into a set, from the
+    tail toward the root, and stops at the depth of the shallowest covered
+    head it meets: each road tests in O(1), a scan that meets no covered
+    head costs O(out-degree) whatever the depth (a ring), and one whose
+    covered heads are the tail's parent or children walks at most one road
+    (an undirected line). Results of ``extend`` are checked and counted as in
+    `eda`.
 
     The stored paths form one tree: every covered vertex's stored path is
     its parent's plus one road, and its stored value is that path's fold.
@@ -259,17 +264,15 @@ def embfa(
                 continue  # detached with an ancestor's subtree, or unchanged since its last scan
             scanned[u] = path_u
             value_u = value[u]
-            on_path = None  # u's tree path's vertices, built at the first covered head
+            on_path, link = {u}, path_u  # the vertices of u's tree path from link's terminal to u
             for road in out[u]:
                 v = road.head
                 value_v = value.get(v)  # None for an uncovered head, which lies on no tree path
                 if value_v is not None:
-                    if on_path is None:
-                        on_path = set()  # one set per scanned tail, so each road tests in O(1)
-                        link = path_u
-                        while link is not None:
-                            on_path.add(link.terminal)
-                            link = link._prefix
+                    depth = paths[v]._length  # u's tree path can hold v only at v's own depth
+                    while link._length > depth:
+                        link = link._prefix
+                        on_path.add(link.terminal)
                     if simple and v in on_path:
                         continue  # the simple system admits no revisit
                 candidate = extend(value_u, path_u, road)

@@ -225,9 +225,10 @@ class TestEda:
 
 class TestEmbfa:
     def test_stays_linear_on_a_deep_ring(self):
-        # a scan builds its tail's on-path set only at a covered head, which
-        # a ring's scans meet once: building it per scan made the ring
-        # quadratic, about 38 times eda's time at this size
+        # a scan walks its tail's tree path only down to a covered head it
+        # meets, and a ring's scans meet one, the source, once: walking the
+        # whole path per scan made the ring quadratic, about 38 times eda's
+        # time at this size
         n = 4000
         g = Graph([Vertex(v) for v in range(n)], [Road(v, v, (v + 1) % n, 1.0) for v in range(n)])
         func, system = classic_distance(g), PathSystem.simple(0)
@@ -261,6 +262,40 @@ class TestEmbfa:
         assert all(tree.parent[v][0] == h for v in range(1, h))
         assert tree.order == [0, h, *range(h - 1, 0, -1)]
         assert (stats.relaxations, stats.rounds, stats.vetoed, tree.exact) == (2 * n - 3, 3, 0, True)
+
+    def test_undirected_line_walks_one_road_per_scan(self):
+        # every scan meets its tail's parent, a covered head one road up:
+        # walking the whole tree path there made the line quadratic
+        n = 300
+        roads = []
+        for v in range(n - 1):
+            roads += [Road(2 * v, v, v + 1, 1.0), Road(2 * v + 1, v + 1, v, 1.0)]
+        g = Graph([Vertex(v) for v in range(n)], roads)
+        func, system = classic_distance(g), PathSystem.simple(0)
+        tree, stats = embfa(g, 0, system, func)
+        assert tree.value == eda(g, 0, system, func)[0].value
+        assert all(tree.parent[v][0] == v - 1 for v in range(1, n))
+        assert tree.order == list(range(n))
+        counts = (stats.extend_calls, stats.relaxations, stats.rounds, stats.vetoed, tree.exact)
+        assert counts == (3 * n - 3, n - 1, n, 0, True)
+
+    def test_covered_heads_at_mixed_depths(self):
+        # Tail 4, on the tree path 0-1-2-3-4, meets covered heads in key
+        # order: its parent 3, then 1 (shallower), then 5 (deeper, off the
+        # path), then 2, an ancestor the walk down to 1 already passed.
+        ends = [(0, 1, 1.0), (1, 2, 1.0), (1, 5, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+        ends += [(4, 3, 1.0), (4, 1, 1.0), (4, 5, 1.0), (4, 2, -10.0)]
+        g = Graph([Vertex(v) for v in range(6)], [Road(key, *end) for key, end in enumerate(ends)])
+        func = classic_distance(g)  # declares conservative flags, wrongly
+        tree, stats = embfa(g, 0, PathSystem.simple(0), func)
+        assert tree.parent == {1: (0, 0), 2: (1, 1), 5: (1, 2), 3: (2, 3), 4: (3, 4)}
+        assert tree.order == [0, 1, 2, 5, 3, 4]
+        assert tree.value == {0: 0.0, 1: 1.0, 2: 2.0, 5: 2.0, 3: 3.0, 4: 4.0}
+        # the pass over 4 extends by road 7 alone; the certificate vetoes road 8
+        assert (stats.extend_calls, stats.relaxations, stats.rounds, stats.vetoed, tree.exact) == (15, 5, 5, 1, False)
+        message = "road 8 from vertex 4 lowers vertex 2, which lies on 4's tree path; "
+        with pytest.raises(NegativeCircleError, match=f"^{re.escape(message)}"):
+            embfa(g, 0, PathSystem.all_paths(0), func)
 
     def test_conservative_weights(self):
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 2.0\narc 0 2 5.0\narc 1 2 -1.0\n")

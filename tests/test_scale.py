@@ -43,29 +43,33 @@ from minpath import (
 
 
 def ring_with_chords(n: int, seed: int) -> Graph:
-    """Roads v -> v+1 of weight 1 around a ring, plus n/2 random chords of weight 1-10."""
+    """Roads v -> v+1 of weight 1 around a ring, plus 2n random chords of weight 1-10."""
     rng = random.Random(seed)
     roads = [Road(v, v, (v + 1) % n, 1.0) for v in range(n)]
-    for key in range(n, n + n // 2):
+    for key in range(n, 3 * n):
         tail = rng.randrange(n)
         head = (tail + rng.randrange(1, n)) % n
         roads.append(Road(key, tail, head, rng.uniform(1.0, 10.0)))
     return Graph([Vertex(v) for v in range(n)], roads)
 
 
+# Each graph with a source from which a quarter or more of every function's
+# values are finite; the fewest are blocked-cost's 82 of 250 on directed-250,
+# whose vertex 0 has no road out.
 GRAPHS = {
-    "ring-200": lambda: ring_with_chords(200, 1),
-    "ring-300": lambda: ring_with_chords(300, 2),
-    "directed-250": lambda: generate_random(250, 500, 0.0, 10.0, "directed", 3),
-    "directed-300": lambda: generate_random(300, 900, 0.0, 10.0, "directed", 4),
-    "undirected-200": lambda: generate_random(200, 300, 0.0, 10.0, "undirected", 5),
-    "undirected-300": lambda: generate_random(300, 450, 0.0, 10.0, "undirected", 6),
+    "ring-200": (lambda: ring_with_chords(200, 1), 0),
+    "ring-300": (lambda: ring_with_chords(300, 2), 0),
+    "directed-250": (lambda: generate_random(250, 500, 0.0, 10.0, "directed", 3), 9),
+    "directed-300": (lambda: generate_random(300, 900, 0.0, 10.0, "directed", 4), 0),
+    "undirected-200": (lambda: generate_random(200, 300, 0.0, 10.0, "undirected", 5), 0),
+    "undirected-300": (lambda: generate_random(300, 450, 0.0, 10.0, "undirected", 6), 0),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(GRAPHS))
-def graph(request):
-    return GRAPHS[request.param]()
+def case(request):
+    build, source = GRAPHS[request.param]
+    return build(), source
 
 
 class Detours:
@@ -89,9 +93,9 @@ class Detours:
 
 
 @pytest.fixture(scope="module")
-def detour(graph):
+def detour(case):
     """One `Detours` per graph, so both solvers share its searches."""
-    return Detours(graph)
+    return Detours(case[0])
 
 
 def walk_relaxation(graph: Graph, source: int, step) -> list[float]:
@@ -117,44 +121,51 @@ def values(tree, n: int) -> list[float]:
     return [tree.value.get(v, INF) for v in range(n)]
 
 
-def check_blocked_cost(graph, detour, solver):
+def check_solver(graph, source, func, solver, reference):
+    """The solver's values equal the reference, bit for bit, over a certified
+    tree, and a quarter or more of them are finite."""
+    tree, _ = solver(graph, source, PathSystem.simple(source), func)
+    assert values(tree, graph.n) == list(reference)
+    assert tree.exact
+    assert 4 * sum(value < INF for value in reference) >= graph.n
+
+
+def check_blocked_cost(case, detour, solver):
+    graph, source = case
     p = 0.3
     derived = []
     for road in graph.roads:
         d = detour(road, road.tail)
         if d < INF:
             derived.append(Road(road.key, road.tail, road.head, p * d + road.weight))
-    reference = dijkstra_classic(Graph(graph.vertices, derived), 0)
-    tree, _ = solver(graph, 0, PathSystem.simple(0), blocked_cost(graph, p))
-    assert values(tree, graph.n) == list(reference)
-    assert tree.exact
+    reference = dijkstra_classic(Graph(graph.vertices, derived), source)
+    check_solver(graph, source, blocked_cost(graph, p), solver, reference)
 
 
-def test_blocked_cost_is_classic_on_derived_weights(graph, detour):
-    check_blocked_cost(graph, detour, eda)
+def test_blocked_cost_is_classic_on_derived_weights(case, detour):
+    check_blocked_cost(case, detour, eda)
 
 
-def test_blocked_cost_is_classic_on_derived_weights_embfa(graph, detour):
-    check_blocked_cost(graph, detour, embfa)
+def test_blocked_cost_is_classic_on_derived_weights_embfa(case, detour):
+    check_blocked_cost(case, detour, embfa)
 
 
-def check_anti_risk(graph, detour, solver):
-    reference = walk_relaxation(graph, 0, lambda x, road: max(detour(road, 0), road.weight + x))
-    tree, _ = solver(graph, 0, PathSystem.simple(0), anti_risk(graph))
-    assert values(tree, graph.n) == reference
-    assert tree.exact
+def check_anti_risk(case, detour, solver):
+    graph, source = case
+    reference = walk_relaxation(graph, source, lambda x, road: max(detour(road, source), road.weight + x))
+    check_solver(graph, source, anti_risk(graph), solver, reference)
 
 
-def test_anti_risk_is_a_relaxation_over_walks(graph, detour):
-    check_anti_risk(graph, detour, eda)
+def test_anti_risk_is_a_relaxation_over_walks(case, detour):
+    check_anti_risk(case, detour, eda)
 
 
-def test_anti_risk_is_a_relaxation_over_walks_embfa(graph, detour):
-    check_anti_risk(graph, detour, embfa)
+def test_anti_risk_is_a_relaxation_over_walks_embfa(case, detour):
+    check_anti_risk(case, detour, embfa)
 
 
 @pytest.mark.parametrize("solver", [eda, embfa])
-def test_classic_is_a_relaxation_over_walks(graph, solver):
-    reference = walk_relaxation(graph, 0, lambda x, road: x + road.weight)
-    tree, _ = solver(graph, 0, PathSystem.simple(0), classic_distance(graph))
-    assert values(tree, graph.n) == reference
+def test_classic_is_a_relaxation_over_walks(case, solver):
+    graph, source = case
+    reference = walk_relaxation(graph, source, lambda x, road: x + road.weight)
+    check_solver(graph, source, classic_distance(graph), solver, reference)
