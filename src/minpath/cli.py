@@ -21,6 +21,9 @@ from .engines import (
 )
 from .graphs import GENERATOR_MODES, max_degree, generate_random, parse_graph, serialize_graph
 from .paths import (
+    NO_NEGATIVE_CIRCLES,
+    NO_NONPOSITIVE_CIRCLES,
+    WISP,
     PathSystem,
     anti_risk,
     blocked_cost,
@@ -38,8 +41,8 @@ EXIT_VIOLATION = 2
 EXIT_NEGATIVE_CIRCLE = 3
 
 FUNCTIONS = ("classic", "antirisk", "blocked-cost", "expected-cost")
-PROPERTY_CHECKS = tuple(name.lower() for name in verify_mod.DEF1_PROPERTIES) + (
-    "wisp", "no-negative-circles", "no-non-positive-circles",
+PROPERTY_CHECKS = tuple(
+    name.lower() for name in (*verify_mod.DEF1_PROPERTIES, WISP, NO_NEGATIVE_CIRCLES, NO_NONPOSITIVE_CIRCLES)
 )
 
 
@@ -188,14 +191,14 @@ def _cmd_verify(args) -> int:
         oracle = verify_mod.oracle_min(graph, args.source, system, func)
         reports.append(verify_mod.compare_tree_to_oracle(tree, oracle, args.tolerance))
     for name in args.property or ():
-        if name == "wisp":
+        if name == WISP.lower():
             reports.append(verify_mod.check_wisp(graph, args.source, system, func, args.tolerance))
-        elif name in ("no-negative-circles", "no-non-positive-circles"):
+        elif name in (NO_NEGATIVE_CIRCLES, NO_NONPOSITIVE_CIRCLES):
             reports.append(
                 verify_mod.check_no_negative_circles(
                     graph, args.source, func,
                     max_roads=args.max_roads,
-                    strict=(name == "no-non-positive-circles"),
+                    strict=(name == NO_NONPOSITIVE_CIRCLES),
                     tol=args.tolerance,
                 )
             )

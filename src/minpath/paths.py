@@ -239,18 +239,24 @@ def path_value(func: PathFunction, path: Path) -> float:
 def implied_properties(declared: frozenset[str] | set[str], system: PathSystem) -> frozenset[str]:
     """Closure of declared property flags under the standard derivations.
 
-    Unrestricted order-preservation implies its minimum-path restriction;
-    order-preservation implies both its weak and semi variants; absence of
-    non-positive circles implies absence of negative ones and, together with
-    SOPSP, weak inheritance. On a simple-path system, order-preservation with
-    declared absence of negative circles also gives weak inheritance: circles
-    can be cut out of any walk without raising its value, and relaxation
-    over walks then ends in a tree of minimum paths. The circle properties
-    hold vacuously on a simple-path system (no member extends another by a
-    circle), so they are added after closing and feed no derivation: a
-    function whose walks have negative circles, such as expected-cost with
-    a large p, can have minima that are not weakly inherited even though
-    every member path is simple. The closure is computed once per declared
+    The derivations form a fixed order, and one pass applies them in it
+    (no derivation yields OP, INSP or NDSP, and WISP feeds none):
+
+    1. OP gives SOP, OPSP and WOP.
+    2. SOP or OPSP gives SOPSP; OPSP or WOP gives WOPSP.
+    3. No non-positive circles gives no negative circles.
+    4. WISP follows from any one of: no non-positive circles and SOPSP;
+       no negative circles, SOPSP and INSP; or, on a simple-path system,
+       OP and declared absence of negative circles. Circles can be cut out
+       of any walk without raising its value there, and relaxation over
+       walks then ends in a tree of minimum paths.
+    5. On a simple-path system both circle flags hold vacuously (no member
+       extends another by a circle), so they are added last and feed no
+       derivation: a function whose walks have negative circles, such as
+       expected-cost with a large p, can have minima that are not weakly
+       inherited even though every member path is simple.
+
+    Unknown flags pass through. The closure is computed once per declared
     set and system kind.
     """
     return _closure(frozenset(declared), system.kind)
@@ -281,29 +287,22 @@ def _require_properties(func: PathFunction, system: PathSystem, needed: set[str]
 
 @functools.lru_cache(maxsize=256)  # bounded: declared sets are arbitrary strings
 def _closure(declared: frozenset[str], kind: str) -> frozenset[str]:
-    simple = kind == SIMPLE
-    rules = (
-        ({SOP}, SOPSP),
-        ({OP}, SOP),
-        ({OP}, OPSP),
-        ({OP}, WOP),
-        ({OPSP}, SOPSP),
-        ({OPSP}, WOPSP),
-        ({WOP}, WOPSP),
-        ({NO_NONPOSITIVE_CIRCLES}, NO_NEGATIVE_CIRCLES),
-        ({NO_NONPOSITIVE_CIRCLES, SOPSP}, WISP),
-        ({NO_NEGATIVE_CIRCLES, SOPSP, INSP}, WISP),
-    )
-    if simple:
-        rules += (({OP, NO_NEGATIVE_CIRCLES}, WISP),)
     props = set(declared)
-    changed = True
-    while changed:
-        changed = False
-        for premises, conclusion in rules:
-            if conclusion not in props and premises <= props:
-                props.add(conclusion)
-                changed = True
+    if OP in props:
+        props |= {SOP, OPSP, WOP}
+    if SOP in props or OPSP in props:
+        props.add(SOPSP)
+    if OPSP in props or WOP in props:
+        props.add(WOPSP)
+    if NO_NONPOSITIVE_CIRCLES in props:
+        props.add(NO_NEGATIVE_CIRCLES)
+    simple = kind == SIMPLE
+    if (
+        {NO_NONPOSITIVE_CIRCLES, SOPSP} <= props
+        or {NO_NEGATIVE_CIRCLES, SOPSP, INSP} <= props
+        or simple and {OP, NO_NEGATIVE_CIRCLES} <= props
+    ):
+        props.add(WISP)
     if simple:
         props |= {NO_NONPOSITIVE_CIRCLES, NO_NEGATIVE_CIRCLES}
     return frozenset(props)

@@ -413,16 +413,17 @@ def _order_flagged(extended: list, strict: bool, equality: bool, minimum: float 
     ``extended``'s (member, value, extended value) entries, in O(k log k).
 
     Sorted by value, the entries fall into blocks of equal value, each
-    sorted by extended value. A block is on the hypothesis side when one
-    of its values is within ``tol`` of ``minimum`` (always, when
-    ``minimum`` is None). The order clause is violated by a block's
-    smallest extended value when the largest hypothesis-side extended
-    value over the earlier blocks (strict) or up to this one (weak)
-    exceeds it by more than ``tol``; no member pairs with itself there,
-    because ``ext > ext + tol`` never holds. The equality clause is
-    violated by a hypothesis-side block whose largest and smallest
-    extended values are not `_close`. Treating a whole block as hypothesis
-    side can only flag more, so False means the pair scan finds nothing.
+    sorted by extended value. A block is on the hypothesis side when its
+    value is within ``tol`` of ``minimum`` (always, when ``minimum`` is
+    None): values that compare equal, -0.0 and 0.0 included, are all
+    `_close` to ``minimum`` or none is, so one test per block decides. The
+    order clause is violated by a block's smallest extended value when the
+    largest hypothesis-side extended value over the earlier blocks
+    (strict) or up to this one (weak) exceeds it by more than ``tol``; no
+    member pairs with itself there, because ``ext > ext + tol`` never
+    holds. The equality clause is violated by a hypothesis-side block
+    whose largest and smallest extended values are not `_close`. So False
+    means the pair scan finds nothing.
     """
     pairs = sorted([(value, ext) for _, value, ext in extended])
     top = -INF  # the largest hypothesis-side extended value so far
@@ -433,7 +434,7 @@ def _order_flagged(extended: list, strict: bool, equality: bool, minimum: float 
         while end < n and pairs[end][0] == value:
             end += 1
         high = pairs[end - 1][1]
-        side = minimum is None or any(_close(v, minimum, tol) for v, _ in pairs[k:end])
+        side = minimum is None or _close(value, minimum, tol)
         if side and equality and not _close(high, low, tol):
             return True
         if side and not strict:

@@ -43,9 +43,13 @@ from minpath.paths import (
     NO_NEGATIVE_CIRCLES,
     NO_NONPOSITIVE_CIRCLES,
     OP,
+    OPSP,
     SOP,
     SOPSP,
     WISP,
+    WOP,
+    WOPSP,
+    ZERO_COST,
 )
 
 from conftest import brute_min_distance, brute_simple_paths, random_instances
@@ -567,6 +571,64 @@ class TestExpectedCost:
             expected_cost(diamond, p)
 
 
+# The property-flag closure as data: (id, declared, closure on the simple
+# system, closure on all paths). NNC and NPC are the no-negative and
+# no-non-positive circle flags.
+NNC, NPC = NO_NEGATIVE_CIRCLES, NO_NONPOSITIVE_CIRCLES
+CLOSURES = [
+    # each flag alone
+    ("NDSP", {NDSP}, {NDSP, NNC, NPC}, {NDSP}),
+    ("INSP", {INSP}, {INSP, NNC, NPC}, {INSP}),
+    ("SOP", {SOP}, {SOP, SOPSP, NNC, NPC}, {SOP, SOPSP}),
+    ("SOPSP", {SOPSP}, {SOPSP, NNC, NPC}, {SOPSP}),
+    ("OP", {OP}, {OP, SOP, OPSP, WOP, SOPSP, WOPSP, NNC, NPC}, {OP, SOP, OPSP, WOP, SOPSP, WOPSP}),
+    ("OPSP", {OPSP}, {OPSP, SOPSP, WOPSP, NNC, NPC}, {OPSP, SOPSP, WOPSP}),
+    ("WOP", {WOP}, {WOP, WOPSP, NNC, NPC}, {WOP, WOPSP}),
+    ("WOPSP", {WOPSP}, {WOPSP, NNC, NPC}, {WOPSP}),
+    ("WISP", {WISP}, {WISP, NNC, NPC}, {WISP}),
+    ("NNC", {NNC}, {NNC, NPC}, {NNC}),
+    ("NPC", {NPC}, {NNC, NPC}, {NNC, NPC}),
+    # the built-ins' declared sets
+    (
+        "classic-nonnegative",
+        {NDSP, SOP, OP, NNC},
+        {NDSP, SOP, OP, OPSP, WOP, SOPSP, WOPSP, WISP, NNC, NPC},
+        {NDSP, SOP, OP, OPSP, WOP, SOPSP, WOPSP, NNC},
+    ),
+    (
+        "classic-conservative",
+        {OP, NNC},
+        {OP, SOP, OPSP, WOP, SOPSP, WOPSP, WISP, NNC, NPC},
+        {OP, SOP, OPSP, WOP, SOPSP, WOPSP, NNC},
+    ),
+    *[
+        (
+            name,
+            {NDSP, OP, WISP, NNC},
+            {NDSP, OP, SOP, OPSP, WOP, SOPSP, WOPSP, WISP, NNC, NPC},
+            {NDSP, OP, SOP, OPSP, WOP, SOPSP, WOPSP, WISP, NNC},
+        )
+        for name in ("anti-risk", "blocked-cost")
+    ],
+    ("expected-cost", {OP}, {OP, SOP, OPSP, WOP, SOPSP, WOPSP, NNC, NPC}, {OP, SOP, OPSP, WOP, SOPSP, WOPSP}),
+    ("zero-cost", {NDSP, SOP, WISP}, {NDSP, SOP, SOPSP, WISP, NNC, NPC}, {NDSP, SOP, SOPSP, WISP}),
+    # WISP from no non-positive circles and SOPSP (here derived from SOP);
+    # without either premise, see the rows NPC and SOP
+    ("NPC+SOP", {NPC, SOP}, {NPC, NNC, SOP, SOPSP, WISP}, {NPC, NNC, SOP, SOPSP, WISP}),
+    # WISP from no negative circles, SOPSP and INSP; on a simple system the
+    # vacuous circle flags come last and do not stand in for a missing one
+    ("NNC+SOPSP+INSP", {NNC, SOPSP, INSP}, {NNC, NPC, SOPSP, INSP, WISP}, {NNC, SOPSP, INSP, WISP}),
+    ("NNC+SOPSP+INSP-NNC", {SOPSP, INSP}, {SOPSP, INSP, NNC, NPC}, {SOPSP, INSP}),
+    ("NNC+SOPSP+INSP-SOPSP", {NNC, INSP}, {NNC, NPC, INSP}, {NNC, INSP}),
+    ("NNC+SOPSP+INSP-INSP", {NNC, SOPSP}, {NNC, NPC, SOPSP}, {NNC, SOPSP}),
+    # on a simple system, WISP from OP and declared no negative circles:
+    # the row classic-conservative meets it, and the rows OP and NNC each
+    # miss one premise
+    # an unknown flag passes through
+    ("unknown", {"unknown", SOP}, {"unknown", SOP, SOPSP, NNC, NPC}, {"unknown", SOP, SOPSP}),
+]
+
+
 class TestDeclaredProperties:
     def test_classic_nonnegative(self, diamond):
         f = classic_distance(diamond)
@@ -576,11 +638,6 @@ class TestDeclaredProperties:
         g = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 2.0\narc 0 2 5.0\narc 1 2 -1.0\n")
         f = classic_distance(g)
         assert f.declared_properties == frozenset({OP, NO_NEGATIVE_CIRCLES})
-
-    def test_simple_system_closure_gives_wisp(self, diamond):
-        f = classic_distance(diamond)
-        implied = implied_properties(f.declared_properties, PathSystem.simple(0))
-        assert {SOPSP, WISP, NO_NONPOSITIVE_CIRCLES} <= implied
 
     def test_vacuous_circle_freedom_does_not_give_wisp(self):
         # expected-cost declares only OP; its walks can have negative
@@ -596,16 +653,6 @@ class TestDeclaredProperties:
         assert WISP not in implied
         assert check_wisp(g, 0, system, func).violated
 
-    def test_all_paths_closure_is_smaller(self, diamond):
-        implied = implied_properties(frozenset({SOP}), PathSystem.all_paths(0))
-        assert SOPSP in implied
-        assert WISP not in implied
-        assert NO_NEGATIVE_CIRCLES not in implied
-
-    def test_op_implies_weak_and_semi(self):
-        implied = implied_properties(frozenset({OP}), PathSystem.all_paths(0))
-        assert {SOP, SOPSP} <= implied
-
     def test_closure_is_the_same_for_a_set_and_a_frozenset(self):
         for system in (PathSystem.simple(0), PathSystem.all_paths(0)):
             for declared in (set(), {OP}, {SOP, INSP, NO_NEGATIVE_CIRCLES}, {NO_NONPOSITIVE_CIRCLES, SOP}):
@@ -615,6 +662,21 @@ class TestDeclaredProperties:
                 assert from_set == from_frozen
                 assert implied_properties(frozenset(declared), system) is from_frozen  # computed once
 
-    def test_no_nonpositive_implies_no_negative(self):
-        implied = implied_properties(frozenset({NO_NONPOSITIVE_CIRCLES}), PathSystem.all_paths(0))
-        assert NO_NEGATIVE_CIRCLES in implied
+    @pytest.mark.parametrize("declared, on_simple, on_all", [pytest.param(*case, id=name) for name, *case in CLOSURES])
+    def test_closure_pins(self, declared, on_simple, on_all):
+        assert implied_properties(declared, PathSystem.simple(0)) == on_simple
+        assert implied_properties(declared, PathSystem.all_paths(0)) == on_all
+
+    def test_closure_pins_read_the_built_ins_declared_sets(self, diamond):
+        conservative = parse_graph("g 3 3\nv 0\nv 1\nv 2\narc 0 1 2.0\narc 0 2 5.0\narc 1 2 -1.0\n")
+        built_in = {
+            "classic-nonnegative": classic_distance(diamond),
+            "classic-conservative": classic_distance(conservative),
+            "anti-risk": anti_risk(diamond),
+            "blocked-cost": blocked_cost(diamond, 0.3),
+            "expected-cost": expected_cost(diamond, 0.3),
+            "zero-cost": ZERO_COST,
+        }
+        pinned = {name: declared for name, declared, _, _ in CLOSURES}
+        for name, func in built_in.items():
+            assert func.declared_properties == pinned[name], name
